@@ -210,14 +210,19 @@ def _cmd_entropy(args) -> int:
         method = "poly" if args.tmk is not None else "matrix"
     if method in ("poly", "both") and args.tmk is None:
         raise ParameterError(f"--method {method} needs --tmk parameters")
+    # the polynomial method never reads the forbidden set, which for --tmk
+    # has (k-1)^2 * m blocks
+    spec = None
+    if method in ("matrix", "both") or args.export_automaton:
+        spec = _resolve_spec(args)
     reports = []
     if method in ("poly", "both"):
         tol = args.tol if args.tol is not None else _POLY_TOL
         reports.append(spectral.entropy_tmk(args.tmk.m, args.tmk.k, log_base=args.base, tol=tol))
     if method in ("matrix", "both"):
         tol = args.tol if args.tol is not None else _MATRIX_TOL
-        reports.append(transfer.entropy_numeric(_resolve_spec(args), tol=tol, log_base=args.base))
-    _export_automaton(args, _resolve_spec(args))
+        reports.append(transfer.entropy_numeric(spec, tol=tol, log_base=args.base))
+    _export_automaton(args, spec)
     if args.format == "text":
         out = "".join(f"{_report_line(r)}\n" for r in reports)
     elif args.format == "csv":
@@ -517,6 +522,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _progress_text(exc: ConvergenceError) -> str:
+    """The partial progress a ConvergenceError carries, as a parenthesized suffix."""
+    fields = [
+        f"{name}={_fmt(value) if isinstance(value, float) else value}"
+        for name, value in (
+            ("last_estimate", exc.last_estimate),
+            ("residual", exc.residual),
+            ("iterations", exc.iterations),
+        )
+        if value is not None
+    ]
+    return f" ({' '.join(fields)})" if fields else ""
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments, run one command, and return the exit code."""
     parser = _build_parser()
@@ -527,7 +546,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.handler(args)
     except ConvergenceError as exc:
-        print(f"shiftspace: numeric error: {exc}", file=sys.stderr)
+        print(f"shiftspace: numeric error: {exc}{_progress_text(exc)}", file=sys.stderr)
         return 2
     except _USER_ERRORS as exc:
         print(f"shiftspace: error: {exc}", file=sys.stderr)

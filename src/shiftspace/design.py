@@ -70,7 +70,9 @@ def k_for_target_ratio(lambda_target: float, m: int) -> int | None:
 
     The inversion k = lambda^(m+1) - lambda^m + 1 is accepted only when it
     lands within 1e-9 of an integer >= 2 and the forward computation
-    reproduces the target to the same precision.
+    reproduces the target to the same precision.  Raises ParameterError
+    when lambda^(m+1) overflows a float, since k then lies beyond float
+    range.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ParameterError(f"m must be an integer >= 1, got {m!r}")
@@ -79,7 +81,13 @@ def k_for_target_ratio(lambda_target: float, m: int) -> int | None:
     lambda_target = float(lambda_target)
     if not math.isfinite(lambda_target) or lambda_target <= 1.0:
         raise ParameterError(f"lambda_target must be a finite number > 1, got {lambda_target}")
-    raw = lambda_target ** (m + 1) - lambda_target**m + 1.0
+    try:
+        raw = lambda_target ** (m + 1) - lambda_target**m + 1.0
+    except OverflowError:
+        raise ParameterError(
+            f"lambda_target^(m+1) overflows a float for lambda_target={lambda_target}, m={m}: "
+            "k would lie beyond float range"
+        ) from None
     candidate = round(raw)
     if abs(raw - candidate) > 1e-9 * max(1.0, abs(raw)):
         return None

@@ -1,14 +1,19 @@
 """Counting and enumerating allowed blocks.
 
 Enumeration is a depth-first search in lexicographic order that prunes a
-prefix as soon as a forbidden block appears at its end.  Counting is a
-dynamic program whose state is the window of the last L-1 symbols, where L
-is the length of the longest forbidden block, so counts are exact integers
-for lengths far beyond what enumeration could materialize.
+prefix as soon as a forbidden block appears at its end.  Counting walks the
+Aho-Corasick automaton of the forbidden set (Aho & Corasick 1975).  Its
+states are the prefixes of forbidden blocks, at most the total forbidden
+length plus one, and a block is allowed exactly when reading it from the
+root never reaches a state that ends with a forbidden block.  So the count
+of length n is the number of walks of length n from the root through the
+other states (Guibas & Odlyzko 1981), an exact integer for lengths far
+beyond what enumeration could materialize.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -154,24 +159,61 @@ def enumerate_blocks_constructive(
     return [Block(t) for t in orders[n]]
 
 
-def _count_iter(spec: ShiftSpaceSpec) -> Iterator[int]:
-    """Yields the number of allowed blocks of length 0, 1, 2, ..."""
+def _successor_lists(spec: ShiftSpaceSpec) -> list[list[int]]:
+    """Successors of the safe states of the Aho-Corasick automaton; state 0 is the root.
+
+    A trie node is safe when neither it nor a node on its failure chain is
+    a forbidden block; children of unsafe nodes are never reached.
+    Each safe state lists, in symbol order, the safe state every allowed
+    symbol leads to.
+    """
     k = spec.alphabet_size
-    table = _suffix_table(spec)
-    window = max(0, spec.forbidden.max_length - 1)
-    states: dict[tuple[int, ...], int] = {(): 1}
+    children: list[dict[int, int]] = [{}]
+    terminal = [False]
+    for block in spec.forbidden:
+        node = 0
+        for s in block.symbols:
+            child = children[node].get(s)
+            if child is None:
+                child = len(children)
+                children[node][s] = child
+                children.append({})
+                terminal.append(False)
+            node = child
+        terminal[node] = True
+    fail = [0] * len(children)
+    goto = {0: [children[0].get(s, 0) for s in range(k)]}
+    safe = [0]
+    queue = deque(children[0].values())
+    while queue:
+        node = queue.popleft()
+        if terminal[node] or fail[node] not in goto:
+            continue
+        safe.append(node)
+        inherited = goto[fail[node]]
+        row = list(inherited)
+        for s, child in children[node].items():
+            fail[child] = inherited[s]
+            row[s] = child
+            queue.append(child)
+        goto[node] = row
+    index = {node: i for i, node in enumerate(safe)}
+    return [[index[t] for t in goto[node] if t in index] for node in safe]
+
+
+def _count_iter(spec: ShiftSpaceSpec) -> Iterator[int]:
+    """Yields the number of allowed blocks of length 0, 1, 2, ...
+
+    weights[u] is the number of allowed continuations of length j from
+    state u, so the root's weight is the count of length j.
+    """
+    out = _successor_lists(spec)
+    weights = [1] * len(out)
     yield 1
     while True:
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, ways in states.items():
-            for s in range(k):
-                grown = state + (s,)
-                if not _suffix_clear(grown, table):
-                    continue
-                key = grown[-window:] if window else ()
-                nxt[key] = nxt.get(key, 0) + ways
-        states = nxt
-        yield sum(states.values())
+        weight = weights.__getitem__
+        weights = [sum(map(weight, targets)) for targets in out]
+        yield weights[0]
 
 
 def count_blocks(spec: ShiftSpaceSpec, n: int) -> int:

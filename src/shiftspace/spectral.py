@@ -89,7 +89,9 @@ def dominant_root(m: int, k: int, tol: float = 1e-12) -> float:
 
     Bisection brings the bracket below 1e-3, then Newton refines from the
     upper end; the polynomial is convex and increasing there, so the
-    iteration converges monotonically.  For m = 1 the result is
+    iteration converges monotonically.  A point where x^(m+1) overflows a
+    float counts as lying above the root; ConvergenceError is raised when
+    Newton would have to start at one.  For m = 1 the result is
     cross-checked against the closed form.
     """
     _require_params(m, k)
@@ -98,20 +100,33 @@ def dominant_root(m: int, k: int, tol: float = 1e-12) -> float:
     lo, hi = 1.0, float(k)
     while hi - lo > _BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
-        if poly.value(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
+        try:
+            if poly.value(mid) <= 0.0:
+                lo = mid
+                continue
+        except OverflowError:
+            pass  # x^(m+1) overflows only above the root, where it dominates
+        hi = mid
     x = hi
     converged = False
-    for _ in range(_NEWTON_MAX_STEPS):
-        step = poly.value(x) / poly.derivative(x)
-        nxt = x - step
-        done = abs(nxt - x) <= tol * max(1.0, abs(nxt))
-        x = nxt
-        if done:
-            converged = True
-            break
+    try:
+        for _ in range(_NEWTON_MAX_STEPS):
+            step = poly.value(x) / poly.derivative(x)
+            nxt = x - step
+            done = abs(nxt - x) <= tol * max(1.0, abs(nxt))
+            x = nxt
+            if done:
+                converged = True
+                break
+    except OverflowError:
+        # Newton descends from hi, so only its first step can overflow
+        raise ConvergenceError(
+            f"x^(m+1) overflows a float at {x}, the upper end of the bisection "
+            "bracket, so Newton refinement cannot start there",
+            last_estimate=x,
+            residual=hi - lo,
+            iterations=0,
+        ) from None
     if not converged:
         raise ConvergenceError(
             f"Newton refinement did not reach tol={tol} within {_NEWTON_MAX_STEPS} steps",

@@ -6,7 +6,8 @@ extended by s is allowed and v is that extension with the first symbol
 dropped.  Allowed blocks of length n >= L-1 correspond one to one to paths
 of length n-L+1, so counts come from iterating the adjacency matrix over
 the integers.  Entropy comes from the dominant eigenvalue of the trimmed
-automaton, computed by power iteration with a Collatz-Wielandt enclosure.
+automaton, computed by power iteration with a Collatz-Wielandt enclosure
+over sparse rows, so one step costs the number of edges, not states^2.
 """
 
 from __future__ import annotations
@@ -76,17 +77,20 @@ def build_automaton(
 ) -> TransferAutomaton:
     """Block automaton over windows of length max(2, longest forbidden) - 1.
 
-    Raises ResourceLimitError when the window alphabet power k^(L-1)
-    exceeds max_states.
+    Raises ResourceLimitError when the number of allowed windows exceeds
+    max_states; they are counted only when k^(L-1) exceeds the cap.
     """
     validate_spec(spec)
     k = spec.alphabet_size
     window = max(2, spec.forbidden.max_length) - 1
     if k**window > max_states:
-        raise ResourceLimitError(
-            f"the automaton would need up to {k}^{window} states, over the cap of {max_states}"
-        )
-    states = tuple(enumerate_blocks(spec, window))
+        allowed = count_blocks(spec, window)
+        if allowed > max_states:
+            raise ResourceLimitError(
+                f"the automaton would need {allowed} states (the allowed blocks of "
+                f"length {window}), over the cap of {max_states}"
+            )
+    states = tuple(enumerate_blocks(spec, window, max_candidates=k**window))
     index = {state.symbols: i for i, state in enumerate(states)}
     table = _suffix_table(spec)
     edges: list[tuple[int, int, int]] = []
@@ -155,23 +159,38 @@ def count_via_matrix(automaton: TransferAutomaton, n: int) -> int:
     return sum(weights)
 
 
+def _sparse_rows(matrix: AdjacencyMatrix) -> list[list[tuple[int, int]]]:
+    """The nonzero (column, weight) pairs of each row, in column order."""
+    return [[(j, weight) for j, weight in enumerate(row) if weight] for row in matrix.rows]
+
+
+def _edge_rows(automaton: TransferAutomaton) -> list[list[tuple[int, int]]]:
+    """Sparse rows of the adjacency matrix, read straight off the edges."""
+    rows: list[dict[int, int]] = [{} for _ in automaton.states]
+    for source, target, _symbol in automaton.edges:
+        rows[source][target] = rows[source].get(target, 0) + 1
+    return [sorted(row.items()) for row in rows]
+
+
 def _power_iteration(
-    matrix: AdjacencyMatrix, tol: float, max_iterations: int
+    rows: list[list[tuple[int, int]]], tol: float, max_iterations: int
 ) -> tuple[float, float, int]:
     """Collatz-Wielandt enclosure of the dominant eigenvalue of A + I.
 
-    Returns (eigenvalue of A, half-width of the final enclosure,
-    iterations).  The shift by I keeps the iteration positive and removes
-    periodicity, and the enclosure brackets the dominant eigenvalue of a
-    nonnegative matrix at every step.
+    rows holds the nonzero (column, weight) pairs of A in column order, so
+    a step makes the same float operations, in the same order, as a dense
+    row scan that skips zeros.  Returns (eigenvalue of A, half-width of the
+    final enclosure, iterations).  The shift by I keeps the iteration
+    positive and removes periodicity, and the enclosure brackets the
+    dominant eigenvalue of a nonnegative matrix at every step.
     """
-    size = matrix.size
+    size = len(rows)
     vector = [1.0] * size
     lo, hi = 0.0, float("inf")
     for iteration in range(1, max_iterations + 1):
         image = [
-            vector[i] + sum(weight * vector[j] for j, weight in enumerate(row) if weight)
-            for i, row in enumerate(matrix.rows)
+            vector[i] + sum(weight * vector[j] for j, weight in row)
+            for i, row in enumerate(rows)
         ]
         ratios = [image[i] / vector[i] for i in range(size)]
         lo, hi = min(ratios), max(ratios)
@@ -195,7 +214,7 @@ def dominant_eigenvalue(
     _require_tol(tol)
     if matrix.size == 0:
         raise EmptyShiftSpaceError("the automaton has no states; the shift space is empty")
-    value, _residual, _iterations = _power_iteration(matrix, tol, max_iterations)
+    value, _residual, _iterations = _power_iteration(_sparse_rows(matrix), tol, max_iterations)
     return value
 
 
@@ -214,9 +233,7 @@ def entropy_numeric(
         raise EmptyShiftSpaceError(
             "every state dies under trimming; the shift space is empty and entropy is undefined"
         )
-    value, residual, _iterations = _power_iteration(
-        automaton.adjacency_matrix(), tol, max_iterations
-    )
+    value, residual, _iterations = _power_iteration(_edge_rows(automaton), tol, max_iterations)
     return EntropyReport(
         lambda0=value,
         entropy=_log(value, log_base),

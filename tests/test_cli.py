@@ -210,9 +210,44 @@ def test_entropy_convergence_failure_exit_code(capsys, monkeypatch):
         raise ConvergenceError("stuck", last_estimate=1.0, residual=1.0, iterations=5)
 
     monkeypatch.setattr("shiftspace.spectral.entropy_tmk", stuck)
-    code, _, err = run_cli(capsys, "entropy", "--tmk", "1,2")
+    code, out, err = run_cli(capsys, "entropy", "--tmk", "1,2")
     assert code == 2
-    assert "numeric error" in err
+    assert out == ""
+    assert err == "shiftspace: numeric error: stuck (last_estimate=1 residual=1 iterations=5)\n"
+
+
+@pytest.fixture
+def no_tmk_spec(monkeypatch):
+    """Fails the test when the CLI builds a --tmk forbidden set."""
+
+    def refuse(params):
+        raise AssertionError("tmk_spec called")
+
+    monkeypatch.setattr("shiftspace.core.tmk_spec", refuse)
+
+
+def test_entropy_poly_never_builds_the_forbidden_set(capsys, no_tmk_spec):
+    code, out, _ = run_cli(capsys, "entropy", "--tmk", "3,1000")
+    assert code == 0
+    assert "method=polynomial" in out
+    code, _, _ = run_cli(capsys, "entropy", "--tmk", "3,1000", "--method", "poly")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, expected_out",
+    [
+        (["entropy", "--tmk", "2000,1000"], 0, "lambda0=1.0060272043311 "),
+        (["design", "--target-ratio", "1e200", "--m", "3"], 1, ""),
+    ],
+)
+def test_float_overflow_ends_without_traceback(capsys, no_tmk_spec, argv, expected_code, expected_out):
+    # in process, so an escaping OverflowError fails the test; tmk(2000,1000)
+    # has about 2e9 forbidden blocks, which no_tmk_spec keeps from being built
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected_code
+    assert out.startswith(expected_out)
+    assert "Traceback" not in err
 
 
 def test_verify_text(capsys):

@@ -44,6 +44,12 @@ def test_k_for_target_ratio_validation():
         k_for_target_ratio("2", 1)
 
 
+def test_k_for_target_ratio_beyond_float_range():
+    # k = lambda^4 - lambda^3 + 1 would be about 1e800
+    with pytest.raises(ParameterError, match="beyond float range"):
+        k_for_target_ratio(1e200, 3)
+
+
 @pytest.mark.parametrize("lam", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_k_for_target_ratio_round_trip(lam, m):

@@ -1,4 +1,8 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_blocks, spec_from_tuples
 from shiftspace import (
@@ -106,6 +110,46 @@ def test_count_sequence_matches_count_blocks(t22_spec):
     assert seq.n_min == 1 and seq.n_max == 12
     for n in range(1, 13):
         assert seq.value_at(n) == count_blocks(t22_spec, n)
+
+
+@st.composite
+def _overlapping_specs(draw):
+    """Unnormalized forbidden sets of factors of one short word.
+
+    Factors of a common word overlap one another as prefixes, suffixes and
+    factors, which is what the failure links of the counting automaton
+    have to resolve; duplicates and words containing other members stay.
+    """
+    k = draw(st.integers(min_value=1, max_value=3))
+    text = draw(st.lists(st.integers(min_value=0, max_value=k - 1), min_size=1, max_size=7))
+    words = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        start = draw(st.integers(min_value=0, max_value=len(text) - 1))
+        length = draw(st.integers(min_value=1, max_value=min(4, len(text) - start)))
+        words.append(tuple(text[start : start + length]))
+    return spec_from_tuples(k, words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_overlapping_specs())
+def test_count_sequence_matches_is_allowed_brute_force(spec):
+    k = spec.alphabet_size
+    brute = [
+        sum(is_allowed(spec, Block(word)) for word in product(range(k), repeat=n))
+        for n in range(1, 8)
+    ]
+    assert list(count_sequence(spec, 7)) == brute
+
+
+def test_count_single_long_word_follows_its_recurrence():
+    # Avoiding 1^16 over two symbols: a(j) = 2^j below 16, then the
+    # 16-step Fibonacci recurrence a(n) = a(n-1) + ... + a(n-16).
+    spec = spec_from_tuples(2, [(1,) * 16])
+    expected = [2**j for j in range(16)]
+    while len(expected) <= 200:
+        expected.append(sum(expected[-16:]))
+    assert count_blocks(spec, 200) == expected[200]
+    assert list(count_sequence(spec, 200)) == expected[1:]
 
 
 def test_count_sequence_validation(golden_spec):

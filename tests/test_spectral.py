@@ -6,6 +6,7 @@ import pytest
 
 from shiftspace import (
     CharacteristicPolynomial,
+    ConvergenceError,
     ParameterError,
     closed_form_root_m1,
     dominant_root,
@@ -43,6 +44,27 @@ def test_dominant_root_frozen_values():
     assert abs(dominant_root(1, 21) - 5.0) < 1e-12
     assert abs(dominant_root(2, 5) - 2.0) < 1e-12
     assert abs(dominant_root(3, 9) - 2.0) < 1e-12
+
+
+def test_dominant_root_past_float_overflow():
+    # x^2001 overflows a float for x > 1.43, so the bisection has to treat
+    # an overflow as lying above the root.  The root is checked in log
+    # space: m ln x + ln(x - 1) - ln(k - 1) changes sign across it.
+    m, k = 2000, 1000
+    root = dominant_root(m, k)
+
+    def log_form(x):
+        return m * math.log(x) + math.log(x - 1.0) - math.log(k - 1)
+
+    assert log_form(root * (1 - 1e-12)) < 0.0 < log_form(root * (1 + 1e-12))
+    assert root == pytest.approx(1.0060272043310965, rel=1e-14)
+
+
+def test_dominant_root_overflow_at_newton_start_is_a_convergence_error():
+    # the bisection stops at [1, 1 + 2^-10], and x^(m+1) overflows at its upper end
+    with pytest.raises(ConvergenceError) as info:
+        dominant_root(10**6, 2)
+    assert info.value.last_estimate == 1.0 + 2.0**-10
 
 
 def test_dominant_root_validation():

@@ -77,6 +77,21 @@ def test_build_state_cap(golden_spec):
     assert build_automaton(golden_spec, max_states=2).num_states == 2
 
 
+def test_state_cap_counts_allowed_windows():
+    # 20^5 windows of length 5 exceed the default cap, but only 96 are allowed
+    spec = tmk_spec(TmkParams(5, 20))
+    automaton = build_automaton(spec)
+    assert automaton.num_states == 96
+    report = entropy_numeric(spec)
+    assert abs(report.lambda0 - dominant_root(5, 20)) <= report.residual + 1e-9
+
+
+def test_state_cap_message_names_the_window_count():
+    spec = spec_from_tuples(2, [(1,) * 25])
+    with pytest.raises(ResourceLimitError, match="16777216 states"):
+        build_automaton(spec)
+
+
 def test_out_lists(golden_spec):
     automaton = build_automaton(golden_spec)
     assert automaton.out_lists() == [[0, 1], [0]]
@@ -222,6 +237,25 @@ def test_eigenvalue_matches_polynomial_root(m, k):
     root = dominant_root(m, k)
     assert abs(eig - root) < 1e-9
     assert 1.0 <= eig <= k
+
+
+_EIGENVALUE_SPECS = [
+    tmk_spec(TmkParams(1, 2)),
+    spec_from_tuples(3, [(1, 1), (2, 2)]),
+    *(tmk_spec(TmkParams(m, k)) for m in (1, 2, 3) for k in (2, 3, 4, 5)),
+    spec_from_tuples(2, [(1,) * 8]),
+    spec_from_tuples(3, [(0, 1), (1, 2, 2), (2, 0)]),
+    spec_from_tuples(4, [(0, 0), (1, 3), (2, 1), (3, 0, 2)]),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("spec", _EIGENVALUE_SPECS)
+def test_entropy_numeric_equals_dense_matrix_chain(spec, tol):
+    # entropy_numeric reads sparse rows off the edges; the public chain goes
+    # through the dense matrix, and both must give the same bits
+    matrix = trim(build_automaton(spec)).adjacency_matrix()
+    assert entropy_numeric(spec, tol=tol).lambda0 == dominant_eigenvalue(matrix, tol=tol)
 
 
 def test_edge_list_text_golden(golden_spec):
