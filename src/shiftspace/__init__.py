@@ -45,7 +45,6 @@ from .errors import (
 from .recurrence import (
     LinearRecurrence,
     RecurrenceCheck,
-    SumRecurrenceSequence,
     infer_recurrence,
     limit_ratio,
     sum_recurrence_three_symbol,
@@ -91,7 +90,6 @@ __all__ = [
     "ResourceLimitError",
     "ShiftSpaceError",
     "ShiftSpaceSpec",
-    "SumRecurrenceSequence",
     "TmkParams",
     "TransferAutomaton",
     "ValidationError",

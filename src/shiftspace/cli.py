@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: count, enumerate, sequence, entropy, verify, design, table.
-Every command assembles its whole output before printing, emits a single
-text, csv, or json document, and maps failures to exit codes: 1 for
-parameter, parse, validation, and resource errors, 2 for numeric
-non-convergence, 3 for disagreement between counting methods.
+Every command computes its whole result before printing and hands it to
+one writer, which emits a single text, csv, or json document.  Failures
+map to exit codes: 1 for parameter, parse, validation, and resource
+errors, 2 for numeric non-convergence, 3 for disagreement between
+counting methods.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -52,10 +54,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _fmt(value: float) -> str:
     """Reals at 15 significant digits."""
     return format(float(value), ".15g")
-
-
-def _round15(value: float) -> float:
-    return float(_fmt(value))
 
 
 def _tmk_argument(text: str) -> core.TmkParams:
@@ -111,35 +109,54 @@ def _resolve_spec(args) -> core.ShiftSpaceSpec:
     return core.load_spec_file(args.spec)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _cell(value):
+    """A value as text and csv print it.
+
+    Reals at 15 significant digits and booleans in lower case; csv itself
+    writes None as an empty cell.
+    """
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _fmt(value)
+    return value
 
 
-def _json_text(document: dict) -> str:
-    return json.dumps(document) + "\n"
+def _json_value(value):
+    """The document with every real rounded to 15 significant digits."""
+    if isinstance(value, float):
+        return float(_fmt(value))
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_value(item) for item in value]
+    return value
 
 
-def _export_automaton(args, spec: core.ShiftSpaceSpec) -> None:
-    if getattr(args, "export_automaton", None):
-        automaton = transfer.build_automaton(spec)
-        Path(args.export_automaton).write_text(transfer.edge_list_text(automaton))
+def _write(args, lines, header, rows, document: dict, code: int = 0) -> int:
+    """Print a command's result as one document in args.format; return the exit code.
+
+    text prints the lines, csv the header and the rows, json the document
+    under the command's name.  Big counts arrive as decimal strings, so they
+    stay exact in every format.
+    """
+    if args.format == "text":
+        out = "".join(f"{line}\n" for line in lines)
+    elif args.format == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+        out = buffer.getvalue()
+    else:
+        out = json.dumps({"command": args.command, **_json_value(document)}) + "\n"
+    sys.stdout.write(out)
+    return code
 
 
 def _cmd_count(args) -> int:
-    spec = _resolve_spec(args)
-    value = enumeration.count_blocks(spec, args.n)
-    if args.format == "text":
-        out = f"{value}\n"
-    elif args.format == "csv":
-        out = _csv_text(("n", "count"), [(args.n, value)])
-    else:
-        out = _json_text({"command": "count", "n": args.n, "count": str(value)})
-    sys.stdout.write(out)
-    return 0
+    value = str(enumeration.count_blocks(_resolve_spec(args), args.n))
+    return _write(args, [value], ("n", "count"), [(args.n, value)], {"n": args.n, "count": value})
 
 
 def _cmd_enumerate(args) -> int:
@@ -153,55 +170,18 @@ def _cmd_enumerate(args) -> int:
         blocks = enumeration.enumerate_blocks(spec, args.n)
         alphabet_size = spec.alphabet_size
     texts = [core.block_text(b, alphabet_size) for b in blocks]
-    if args.format == "text":
-        out = "".join(f"{t}\n" for t in texts)
-    elif args.format == "csv":
-        out = _csv_text(("block",), [(t,) for t in texts])
-    else:
-        out = _json_text(
-            {"command": "enumerate", "n": args.n, "order": args.order, "blocks": texts}
-        )
-    sys.stdout.write(out)
-    return 0
+    document = {"n": args.n, "order": args.order, "blocks": texts}
+    return _write(args, texts, ("block",), [(t,) for t in texts], document)
 
 
 def _cmd_sequence(args) -> int:
     if args.three_symbol:
-        counts = list(recurrence.sum_recurrence_three_symbol(args.n_max))
+        counts = recurrence.sum_recurrence_three_symbol(args.n_max)
     else:
-        counts = list(enumeration.count_sequence(_resolve_spec(args), args.n_max))
-    if args.format == "text":
-        out = ",".join(str(c) for c in counts) + "\n"
-    elif args.format == "csv":
-        out = _csv_text(("n", "count"), [(n, c) for n, c in enumerate(counts, start=1)])
-    else:
-        out = _json_text(
-            {
-                "command": "sequence",
-                "n_min": 1,
-                "n_max": args.n_max,
-                "counts": [str(c) for c in counts],
-            }
-        )
-    sys.stdout.write(out)
-    return 0
-
-
-def _report_dict(report: spectral.EntropyReport) -> dict:
-    return {
-        "lambda0": _round15(report.lambda0),
-        "entropy": _round15(report.entropy),
-        "log_base": report.log_base,
-        "method": report.method,
-        "residual": _round15(report.residual),
-    }
-
-
-def _report_line(report: spectral.EntropyReport) -> str:
-    return (
-        f"lambda0={_fmt(report.lambda0)} entropy={_fmt(report.entropy)} "
-        f"log_base={report.log_base} method={report.method} residual={_fmt(report.residual)}"
-    )
+        counts = enumeration.count_sequence(_resolve_spec(args), args.n_max)
+    texts = [str(c) for c in counts]
+    document = {"n_min": 1, "n_max": args.n_max, "counts": texts}
+    return _write(args, [",".join(texts)], ("n", "count"), list(enumerate(texts, start=1)), document)
 
 
 def _cmd_entropy(args) -> int:
@@ -222,21 +202,16 @@ def _cmd_entropy(args) -> int:
     if method in ("matrix", "both"):
         tol = args.tol if args.tol is not None else _MATRIX_TOL
         reports.append(transfer.entropy_numeric(spec, tol=tol, log_base=args.base))
-    _export_automaton(args, spec)
-    if args.format == "text":
-        out = "".join(f"{_report_line(r)}\n" for r in reports)
-    elif args.format == "csv":
-        out = _csv_text(
-            ("method", "lambda0", "entropy", "log_base", "residual"),
-            [
-                (r.method, _fmt(r.lambda0), _fmt(r.entropy), r.log_base, _fmt(r.residual))
-                for r in reports
-            ],
-        )
-    else:
-        out = _json_text({"command": "entropy", "reports": [_report_dict(r) for r in reports]})
-    sys.stdout.write(out)
-    return 0
+    if args.export_automaton:
+        automaton = transfer.build_automaton(spec)
+        Path(args.export_automaton).write_text(transfer.edge_list_text(automaton))
+    return _write(
+        args,
+        [" ".join(f"{key}={_cell(value)}" for key, value in r.as_dict().items()) for r in reports],
+        ("method", "lambda0", "entropy", "log_base", "residual"),
+        [(r.method, r.lambda0, r.entropy, r.log_base, r.residual) for r in reports],
+        {"reports": [r.as_dict() for r in reports]},
+    )
 
 
 def _verify_recurrence_for(args, counts) -> tuple[Optional[recurrence.LinearRecurrence], str]:
@@ -253,19 +228,36 @@ def _cmd_verify(args) -> int:
     spec = _resolve_spec(args)
     counts = enumeration.count_sequence(spec, args.n_max)
     automaton = transfer.build_automaton(spec)
-    _export_automaton(args, spec)
+    if args.export_automaton:
+        Path(args.export_automaton).write_text(transfer.edge_list_text(automaton))
     rec, rec_source = _verify_recurrence_for(args, counts)
+    # one walk per column; paths count the blocks of length window and up,
+    # and count_via_matrix counts the shorter ones by its fallback
+    below_window = range(1, min(automaton.window, args.n_max + 1))
+    matrix_column = chain(
+        (transfer.count_via_matrix(automaton, n) for n in below_window),
+        transfer._path_counts(automaton),
+    )
+    # both recurrence sources start at n = 1
+    rec_column = repeat(None) if rec is None else recurrence._term_iter(rec)
     rows = []
-    agree = True
-    for n in range(1, args.n_max + 1):
-        enumerated = counts.value_at(n)
-        matrix = transfer.count_via_matrix(automaton, n)
-        rec_value = recurrence.evaluate(rec, n) if rec is not None else None
+    for n, enumerated, matrix, rec_value in zip(
+        range(1, args.n_max + 1), counts, matrix_column, rec_column
+    ):
         row_ok = enumerated == matrix and (rec_value is None or rec_value == enumerated)
-        agree = agree and row_ok
-        rows.append((n, enumerated, matrix, rec_value, row_ok))
+        rec_text = None if rec_value is None else str(rec_value)
+        rows.append((n, str(enumerated), str(matrix), rec_text, row_ok))
+    agree = all(row[-1] for row in rows)
+    header = ("n", "enumeration", "matrix", "recurrence", "agree")
+    lines = [" ".join(header[:4])]
+    for n, enumerated, matrix, rec_text, row_ok in rows:
+        marker = "" if row_ok else " MISMATCH"
+        lines.append(f"{n} {enumerated} {matrix} {'-' if rec_text is None else rec_text}{marker}")
     rec_doc = None
-    if rec is not None:
+    if rec is None:
+        lines.append("no recurrence available; compared enumeration and matrix counts only")
+    else:
+        lines.append(f"recurrence source: {rec_source} (order {rec.order})")
         rec_doc = {
             "order": rec.order,
             "coefficients": list(rec.coefficients),
@@ -273,51 +265,18 @@ def _cmd_verify(args) -> int:
             "offset": rec.offset,
             "source": rec_source,
         }
-    if args.format == "text":
-        lines = ["n enumeration matrix recurrence"]
-        for n, enumerated, matrix, rec_value, row_ok in rows:
-            rec_text = "-" if rec_value is None else str(rec_value)
-            marker = "" if row_ok else " MISMATCH"
-            lines.append(f"{n} {enumerated} {matrix} {rec_text}{marker}")
-        if rec is None:
-            lines.append("no recurrence available; compared enumeration and matrix counts only")
-        else:
-            lines.append(f"recurrence source: {rec_source} (order {rec.order})")
-        lines.append(
-            f"counts agree for n = 1..{args.n_max}"
-            if agree
-            else f"counts disagree first at n = {next(n for n, *_rest, ok in rows if not ok)}"
-        )
-        out = "".join(f"{line}\n" for line in lines)
-    elif args.format == "csv":
-        out = _csv_text(
-            ("n", "enumeration", "matrix", "recurrence", "agree"),
-            [
-                (n, enumerated, matrix, "" if rec_value is None else rec_value, str(row_ok).lower())
-                for n, enumerated, matrix, rec_value, row_ok in rows
-            ],
-        )
-    else:
-        out = _json_text(
-            {
-                "command": "verify",
-                "n_max": args.n_max,
-                "agree": agree,
-                "recurrence": rec_doc,
-                "rows": [
-                    {
-                        "n": n,
-                        "enumeration": str(enumerated),
-                        "matrix": str(matrix),
-                        "recurrence": None if rec_value is None else str(rec_value),
-                        "agree": row_ok,
-                    }
-                    for n, enumerated, matrix, rec_value, row_ok in rows
-                ],
-            }
-        )
-    sys.stdout.write(out)
-    return 0 if agree else 3
+    lines.append(
+        f"counts agree for n = 1..{args.n_max}"
+        if agree
+        else f"counts disagree first at n = {next(n for n, *_cells, ok in rows if not ok)}"
+    )
+    document = {
+        "n_max": args.n_max,
+        "agree": agree,
+        "recurrence": rec_doc,
+        "rows": [dict(zip(header, row)) for row in rows],
+    }
+    return _write(args, lines, header, rows, document, 0 if agree else 3)
 
 
 def _cmd_design(args) -> int:
@@ -325,25 +284,12 @@ def _cmd_design(args) -> int:
         if args.m is None:
             raise ParameterError("--target-ratio needs --m")
         found = design.k_for_target_ratio(args.target_ratio, args.m)
-        if args.format == "text":
-            if found is None:
-                out = "no admissible k\n"
-            else:
-                root = spectral.dominant_root(args.m, found)
-                out = f"m={args.m} k={found} lambda0={_fmt(root)} exact\n"
-        elif args.format == "csv":
-            out = _csv_text(("m", "k"), [(args.m, "" if found is None else found)])
+        if found is None:
+            line = "no admissible k"
         else:
-            out = _json_text(
-                {
-                    "command": "design",
-                    "target_ratio": _round15(args.target_ratio),
-                    "m": args.m,
-                    "k": found,
-                }
-            )
-        sys.stdout.write(out)
-        return 0
+            line = f"m={args.m} k={found} lambda0={_fmt(spectral.dominant_root(args.m, found))} exact"
+        document = {"target_ratio": args.target_ratio, "m": args.m, "k": found}
+        return _write(args, [line], ("m", "k"), [(args.m, found)], document)
     results = design.design_for_entropy(
         args.target_entropy,
         log_base=args.base,
@@ -351,78 +297,37 @@ def _cmd_design(args) -> int:
         k_range=args.k_range,
         tol=args.tol,
     )
-    if args.format == "text":
-        if not results:
-            out = "no parameters within tolerance\n"
-        else:
-            lines = []
-            for r in results:
-                tail = "exact" if r.exact else f"deviation={_fmt(r.deviation)}"
-                lines.append(
-                    f"m={r.m} k={r.k} lambda0={_fmt(r.lambda0)} entropy={_fmt(r.entropy)} {tail}"
-                )
-            out = "".join(f"{line}\n" for line in lines)
-    elif args.format == "csv":
-        out = _csv_text(
-            ("m", "k", "lambda0", "entropy", "deviation", "exact"),
-            [
-                (r.m, r.k, _fmt(r.lambda0), _fmt(r.entropy), _fmt(r.deviation), str(r.exact).lower())
-                for r in results
-            ],
-        )
-    else:
-        out = _json_text(
-            {
-                "command": "design",
-                "target_entropy": _round15(args.target_entropy),
-                "log_base": args.base,
-                "tol": _round15(args.tol),
-                "results": [
-                    {
-                        "m": r.m,
-                        "k": r.k,
-                        "lambda0": _round15(r.lambda0),
-                        "entropy": _round15(r.entropy),
-                        "deviation": _round15(r.deviation),
-                        "exact": r.exact,
-                    }
-                    for r in results
-                ],
-            }
-        )
-    sys.stdout.write(out)
-    return 0
+    lines = [
+        f"m={r.m} k={r.k} lambda0={_fmt(r.lambda0)} entropy={_fmt(r.entropy)} "
+        + ("exact" if r.exact else f"deviation={_fmt(r.deviation)}")
+        for r in results
+    ]
+    document = {
+        "target_entropy": args.target_entropy,
+        "log_base": args.base,
+        "tol": args.tol,
+        "results": [r.as_dict() for r in results],
+    }
+    return _write(
+        args,
+        lines or ["no parameters within tolerance"],
+        ("m", "k", "lambda0", "entropy", "deviation", "exact"),
+        [(r.m, r.k, r.lambda0, r.entropy, r.deviation, r.exact) for r in results],
+        document,
+    )
 
 
 def _cmd_table(args) -> int:
     rows = design.entropy_table(m_range=args.m_range, k_range=args.k_range, log_base=args.base)
-    if args.format == "text":
-        lines = ["m k lambda0 entropy"]
-        lines.extend(f"{r.m} {r.k} {_fmt(r.lambda0)} {_fmt(r.entropy)}" for r in rows)
-        out = "".join(f"{line}\n" for line in lines)
-    elif args.format == "csv":
-        out = _csv_text(
-            ("m", "k", "lambda0", "entropy"),
-            [(r.m, r.k, _fmt(r.lambda0), _fmt(r.entropy)) for r in rows],
-        )
-    else:
-        out = _json_text(
-            {
-                "command": "table",
-                "log_base": args.base,
-                "rows": [
-                    {
-                        "m": r.m,
-                        "k": r.k,
-                        "lambda0": _round15(r.lambda0),
-                        "entropy": _round15(r.entropy),
-                    }
-                    for r in rows
-                ],
-            }
-        )
-    sys.stdout.write(out)
-    return 0
+    lines = ["m k lambda0 entropy"]
+    lines.extend(f"{r.m} {r.k} {_fmt(r.lambda0)} {_fmt(r.entropy)}" for r in rows)
+    return _write(
+        args,
+        lines,
+        ("m", "k", "lambda0", "entropy"),
+        [(r.m, r.k, r.lambda0, r.entropy) for r in rows],
+        {"log_base": args.base, "rows": [r.as_dict() for r in rows]},
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -525,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _progress_text(exc: ConvergenceError) -> str:
     """The partial progress a ConvergenceError carries, as a parenthesized suffix."""
     fields = [
-        f"{name}={_fmt(value) if isinstance(value, float) else value}"
+        f"{name}={_cell(value)}"
         for name, value in (
             ("last_estimate", exc.last_estimate),
             ("residual", exc.residual),
@@ -543,6 +448,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    # counts print in full however many digits they have; Python 3.11 caps
+    # int-to-str conversion at 4300 digits by default
+    set_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_max_str_digits is not None:
+        previous = sys.get_int_max_str_digits()
+        set_max_str_digits(0)
     try:
         return args.handler(args)
     except ConvergenceError as exc:
@@ -551,6 +462,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except _USER_ERRORS as exc:
         print(f"shiftspace: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if set_max_str_digits is not None:
+            set_max_str_digits(previous)
 
 
 def main() -> None:

@@ -25,6 +25,12 @@ from .errors import (
 _SPEC_HEADER = re.compile(r"^k\s*=\s*(\d+)$")
 
 
+def _require_int(name: str, value, minimum: int) -> None:
+    """Raise ParameterError unless value is an integer, not a bool, of at least minimum."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True, order=True)
 class Block:
     """A finite word of symbols.  The empty block is a valid value."""
@@ -108,10 +114,8 @@ class TmkParams:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise ParameterError(f"m must be an integer >= 1, got {self.m!r}")
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 2:
-            raise ParameterError(f"k must be an integer >= 2, got {self.k!r}")
+        _require_int("m", self.m, 1)
+        _require_int("k", self.k, 2)
 
 
 def tmk_spec(params: TmkParams) -> ShiftSpaceSpec:
@@ -150,8 +154,7 @@ def parse_block(text: str, alphabet_size: int) -> Block:
     Raises ParseError for malformed text and OutOfAlphabetError for symbol
     values outside {0, ..., k-1}.
     """
-    if not isinstance(alphabet_size, int) or alphabet_size < 1:
-        raise ParameterError(f"alphabet_size must be an integer >= 1, got {alphabet_size!r}")
+    _require_int("alphabet_size", alphabet_size, 1)
     text = text.strip()
     if not text:
         return Block(())

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import _require_int
 from .errors import ParameterError
-from .spectral import dominant_root, entropy_tmk
+from .spectral import _require_tol, dominant_root, entropy_tmk
 
 EXACT_DEVIATION = 1e-9
 
@@ -74,8 +75,7 @@ def k_for_target_ratio(lambda_target: float, m: int) -> int | None:
     when lambda^(m+1) overflows a float, since k then lies beyond float
     range.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ParameterError(f"m must be an integer >= 1, got {m!r}")
+    _require_int("m", m, 1)
     if not isinstance(lambda_target, (int, float)) or isinstance(lambda_target, bool):
         raise ParameterError(f"lambda_target must be a number, got {lambda_target!r}")
     lambda_target = float(lambda_target)
@@ -116,8 +116,7 @@ def design_for_entropy(
     target_entropy = float(target_entropy)
     if not math.isfinite(target_entropy) or target_entropy <= 0.0:
         raise ParameterError(f"target_entropy must be finite and > 0, got {target_entropy}")
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not tol > 0:
-        raise ParameterError(f"tol must be a positive number, got {tol!r}")
+    _require_tol(tol)
     m_lo, m_hi = _require_range("m_range", m_range, 1)
     k_lo, k_hi = _require_range("k_range", k_range, 2)
     results = []

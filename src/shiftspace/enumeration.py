@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .core import Block, ShiftSpaceSpec, TmkParams, tmk_spec, validate_spec
+from .core import Block, ShiftSpaceSpec, TmkParams, _require_int, tmk_spec, validate_spec
 from .errors import OutOfAlphabetError, ParameterError, ResourceLimitError
 
 DEFAULT_MAX_CANDIDATES = 2**24
@@ -50,11 +50,6 @@ class CountSequence:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.counts)
-
-
-def _require_length(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ParameterError(f"block length must be an integer >= 0, got {n!r}")
 
 
 def _suffix_table(spec: ShiftSpaceSpec) -> dict[int, set[tuple[int, ...]]]:
@@ -94,7 +89,7 @@ def enumerate_blocks(
     regime.
     """
     validate_spec(spec)
-    _require_length(n)
+    _require_int("block length", n, 0)
     k = spec.alphabet_size
     if k**n > max_candidates:
         raise ResourceLimitError(
@@ -138,11 +133,14 @@ def enumerate_blocks_constructive(
     result is the same set as enumerate_blocks(tmk_spec(params), n), in the
     order in which the recurrence builds it.
     """
-    _require_length(n)
+    _require_int("block length", n, 0)
     spec = tmk_spec(params)
-    if count_blocks(spec, n) > max_candidates:
+    # the counts never decrease, a(j) = a(j-1) + (k-1) * a(j-m-1), so the
+    # walk can stop at the first length whose count is over the cap
+    if any(count > max_candidates for count in islice(_count_iter(spec), n + 1)):
         raise ResourceLimitError(
-            f"materializing {count_blocks(spec, n)} blocks exceeds the cap of {max_candidates}"
+            f"materializing the allowed blocks of length {n} exceeds the cap of "
+            f"{max_candidates} blocks"
         )
     m, k = params.m, params.k
     seed_top = min(n, m + 1)
@@ -219,14 +217,13 @@ def _count_iter(spec: ShiftSpaceSpec) -> Iterator[int]:
 def count_blocks(spec: ShiftSpaceSpec, n: int) -> int:
     """Exact number of allowed blocks of length n."""
     validate_spec(spec)
-    _require_length(n)
+    _require_int("block length", n, 0)
     return next(islice(_count_iter(spec), n, None))
 
 
 def count_sequence(spec: ShiftSpaceSpec, n_max: int) -> CountSequence:
     """Exact counts for every length 1..n_max."""
     validate_spec(spec)
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-        raise ParameterError(f"n_max must be an integer >= 1, got {n_max!r}")
+    _require_int("n_max", n_max, 1)
     counts = tuple(islice(_count_iter(spec), 1, n_max + 1))
     return CountSequence(counts=counts, n_min=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .core import TmkParams
+from .core import TmkParams, _require_int
 from .enumeration import CountSequence
 from .errors import ParameterError
 
@@ -59,32 +59,6 @@ class RecurrenceCheck:
     actual: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class SumRecurrenceSequence:
-    """Terms produced by the three-symbol cumulative-sum recurrence."""
-
-    terms: tuple[int, ...]
-    n_min: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-
-    @property
-    def n_max(self) -> int:
-        return self.n_min + len(self.terms) - 1
-
-    def value_at(self, n: int) -> int:
-        if not self.n_min <= n <= self.n_max:
-            raise ParameterError(f"index {n} outside the computed range {self.n_min}..{self.n_max}")
-        return self.terms[n - self.n_min]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.terms)
-
-
 def tmk_recurrence(params: TmkParams) -> LinearRecurrence:
     """Counting recurrence of the spaced family with parameters (m, k)."""
     m, k = params.m, params.k
@@ -107,8 +81,7 @@ def _term_iter(rec: LinearRecurrence) -> Iterator[int]:
 
 def evaluate(rec: LinearRecurrence, n: int) -> int:
     """Exact value a(n) for n >= offset."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < rec.offset:
-        raise ParameterError(f"index must be an integer >= {rec.offset}, got {n!r}")
+    _require_int("index", n, rec.offset)
     it = _term_iter(rec)
     value = next(it)
     for _ in range(n - rec.offset):
@@ -188,8 +161,7 @@ def infer_recurrence(counts: CountSequence, max_order: int) -> Optional[LinearRe
     integral, has a nonzero trailing coefficient, and regenerates the whole
     sequence from its leading terms.
     """
-    if not isinstance(max_order, int) or isinstance(max_order, bool) or max_order < 1:
-        raise ParameterError(f"max_order must be an integer >= 1, got {max_order!r}")
+    _require_int("max_order", max_order, 1)
     terms = counts.counts
     if len(terms) < 2 * max_order + 2:
         raise ParameterError(
@@ -219,25 +191,23 @@ def infer_recurrence(counts: CountSequence, max_order: int) -> Optional[LinearRe
     return None
 
 
-def sum_recurrence_three_symbol(n_max: int) -> SumRecurrenceSequence:
+def sum_recurrence_three_symbol(n_max: int) -> CountSequence:
     """Counts for the three-symbol space with 11 and 22 forbidden.
 
     a(1) = 3 and a(n) = a(n-1) + 2 * (a(1) + ... + a(n-2)) + 4 for n >= 2.
     """
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-        raise ParameterError(f"n_max must be an integer >= 1, got {n_max!r}")
+    _require_int("n_max", n_max, 1)
     terms = [3]
     prefix = 0  # a(1) + ... + a(n-2), empty for n = 2
     for _ in range(2, n_max + 1):
         terms.append(terms[-1] + 2 * prefix + 4)
         prefix += terms[-2]
-    return SumRecurrenceSequence(terms=tuple(terms), n_min=1)
+    return CountSequence(counts=tuple(terms), n_min=1)
 
 
 def limit_ratio(rec: LinearRecurrence, n: int) -> float:
     """The ratio a(n) / a(n-1) as a correctly rounded float."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < rec.offset + 1:
-        raise ParameterError(f"index must be an integer >= {rec.offset + 1}, got {n!r}")
+    _require_int("index", n, rec.offset + 1)
     it = _term_iter(rec)
     previous = next(it)
     current = next(it)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import _require_int
 from .errors import ConvergenceError, ParameterError
 
 _LOG_FUNCTIONS = {"e": math.log, "2": math.log2, "10": math.log10}
@@ -29,13 +30,6 @@ def _log(value: float, log_base: str) -> float:
         ) from None
 
 
-def _require_params(m, k) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ParameterError(f"m must be an integer >= 1, got {m!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ParameterError(f"k must be an integer >= 2, got {k!r}")
-
-
 def _require_tol(tol) -> None:
     if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not tol > 0:
         raise ParameterError(f"tol must be a positive number, got {tol!r}")
@@ -49,7 +43,8 @@ class CharacteristicPolynomial:
     k: int
 
     def __post_init__(self):
-        _require_params(self.m, self.k)
+        _require_int("m", self.m, 1)
+        _require_int("k", self.k, 2)
 
     def value(self, x: float) -> float:
         return x ** (self.m + 1) - x**self.m - (self.k - 1)
@@ -80,7 +75,7 @@ class EntropyReport:
 
 def closed_form_root_m1(k: int) -> float:
     """Root of x^2 - x - (k-1) in (1, k], available only for m = 1."""
-    _require_params(1, k)
+    _require_int("k", k, 2)
     return (1.0 + math.sqrt(4.0 * k - 3.0)) / 2.0
 
 
@@ -94,9 +89,8 @@ def dominant_root(m: int, k: int, tol: float = 1e-12) -> float:
     Newton would have to start at one.  For m = 1 the result is
     cross-checked against the closed form.
     """
-    _require_params(m, k)
-    _require_tol(tol)
     poly = CharacteristicPolynomial(m, k)
+    _require_tol(tol)
     lo, hi = 1.0, float(k)
     while hi - lo > _BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)

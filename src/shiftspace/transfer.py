@@ -13,9 +13,11 @@ over sparse rows, so one step costs the number of edges, not states^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
-from .core import Block, ShiftSpaceSpec, validate_spec
-from .enumeration import _require_length, _suffix_clear, _suffix_table, count_blocks, enumerate_blocks
+from .core import Block, ShiftSpaceSpec, _require_int, validate_spec
+from .enumeration import _suffix_clear, _suffix_table, count_blocks, enumerate_blocks
 from .errors import (
     ConvergenceError,
     EmptyShiftSpaceError,
@@ -147,16 +149,25 @@ def count_via_matrix(automaton: TransferAutomaton, n: int) -> int:
     automaton must be untrimmed, because trimming drops finite blocks that
     do not extend forever.
     """
-    _require_length(n)
+    _require_int("block length", n, 0)
     if automaton.trimmed:
         raise ParameterError("block counting needs the untrimmed automaton")
     if n < automaton.window:
         return count_blocks(automaton.spec, n)
+    return next(islice(_path_counts(automaton), n - automaton.window, None))
+
+
+def _path_counts(automaton: TransferAutomaton) -> Iterator[int]:
+    """Yields the number of allowed blocks of length window, window+1, ...
+
+    weights[u] is the number of paths of length j from state u, and each
+    path of length j spells one allowed block of length window + j.
+    """
     weights = [1] * automaton.num_states
     out = automaton.out_lists()
-    for _ in range(n - automaton.window):
+    while True:
+        yield sum(weights)
         weights = [sum(weights[target] for target in targets) for targets in out]
-    return sum(weights)
 
 
 def _sparse_rows(matrix: AdjacencyMatrix) -> list[list[tuple[int, int]]]:

@@ -1,15 +1,21 @@
 """Tests for the command-line interface: outputs, formats, exit codes."""
 
+import contextlib
+import io
+import itertools
 import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shiftspace import ConvergenceError
+from shiftspace import ConvergenceError, TmkParams, enumeration, recurrence, tmk_spec, transfer
 from shiftspace.cli import run
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schema"
@@ -302,14 +308,52 @@ def test_verify_csv(capsys):
 
 
 def test_verify_disagreement_exit_code(capsys, monkeypatch):
-    def wrong(automaton, n):
-        return 999
+    def wrong(automaton):
+        return itertools.repeat(999)
 
-    monkeypatch.setattr("shiftspace.transfer.count_via_matrix", wrong)
+    # the matrix column is one walk of the path counts
+    monkeypatch.setattr("shiftspace.transfer._path_counts", wrong)
     code, out, _ = run_cli(capsys, "verify", "--tmk", "1,2", "--n-max", "4")
     assert code == 3
     assert "MISMATCH" in out
     assert "counts disagree first at n = 1" in out
+
+
+def test_verify_builds_and_walks_once(capsys, monkeypatch, tmp_path):
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(enumeration, "count_sequence")
+    counted(transfer, "build_automaton")
+    counted(transfer, "_path_counts")
+    counted(transfer, "count_via_matrix")
+    counted(recurrence, "_term_iter")
+    counted(recurrence, "evaluate")
+    target = tmp_path / "edges.txt"
+    code, out, _ = run_cli(
+        capsys, "verify", "--tmk", "2,3", "--n-max", "40", "--export-automaton", str(target)
+    )
+    assert code == 0
+    assert "counts agree for n = 1..40" in out
+    # count_via_matrix serves only n = 1, below the automaton's window of 2
+    assert calls == {
+        "count_sequence": 1,
+        "build_automaton": 1,
+        "count_via_matrix": 1,
+        "_path_counts": 1,
+        "_term_iter": 1,
+    }
+    assert target.read_text() == transfer.edge_list_text(
+        transfer.build_automaton(tmk_spec(TmkParams(2, 3)))
+    )
 
 
 @pytest.mark.parametrize("tmk", ["1,2", "1,5", "3,2", "3,5"])
@@ -453,6 +497,56 @@ def test_range_comma_form(capsys):
     assert len(out.splitlines()) == 2
 
 
+@pytest.fixture
+def int_str_limit():
+    """Python's default 4300-digit int-to-str limit, restored afterwards.
+
+    Yields the setter, or None on Python versions without the limit.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield None
+        return
+    previous = sys.get_int_max_str_digits()
+    set_limit(4300)
+    yield set_limit
+    set_limit(previous)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_count_beyond_the_int_to_str_limit(capsys, int_str_limit, fmt):
+    # a(30000) = F(30002), which has 6270 digits
+    fib = [0, 1]
+    while len(fib) <= 30002:
+        fib.append(fib[-1] + fib[-2])
+    code, out, err = run_cli(capsys, "count", "--tmk", "1,2", "--n", "30000", "--format", fmt)
+    if int_str_limit is not None:
+        # run() lifts the limit for its command only
+        assert sys.get_int_max_str_digits() == 4300
+        int_str_limit(0)
+    value = str(fib[30002])
+    assert code == 0
+    assert err == ""
+    assert len(value) == 6270
+    expected = {
+        "text": f"{value}\n",
+        "csv": f"n,count\n30000,{value}\n",
+        "json": json.dumps({"command": "count", "n": 30000, "count": value}) + "\n",
+    }
+    assert out == expected[fmt]
+
+
+def test_enumerate_constructive_over_the_cap_is_an_error(capsys):
+    code, out, err = run_cli(
+        capsys, "enumerate", "--tmk", "1,2", "--n", "200000", "--order", "constructive"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("shiftspace: error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_exit_code_bad_tmk(capsys):
     assert run_cli(capsys, "count", "--tmk", "1", "--n", "4")[0] == 1
     assert run_cli(capsys, "count", "--tmk", "0,2", "--n", "4")[0] == 1
@@ -546,3 +640,113 @@ def test_console_script_entry_point_declared():
         capture_output=True,
     )
     assert result.returncode == 1
+
+
+# Fuzzing: argv from small, bounded values and junk tokens, run in process.
+# The reducible spec of ROADMAP item 3 stays out: its entropy runs the full
+# 10^6 power iterations, seconds per example, before exiting 2.
+FUZZ_SPECS = {
+    "golden.txt": "k=2\n11\n",
+    "three.txt": "k=3\n11\n22\n",
+    "wide.txt": "k=11\n10,10\n",
+    "long.txt": "k=2\n11111\n",
+    "empty.txt": "k=2\n0\n1\n",
+    "dead-end.txt": "k=2\n110\n111\n",
+    "bad.txt": "k=2\n1x\n",
+}
+
+_JUNK = st.sampled_from(
+    ["", "x", ",", "1,", "..", "1..", "-", "--", "--bogus", "1,2,3", "0x10", "1e3", "--format"]
+)
+
+
+def _rarely(rare, usual):
+    """usual, and one time in eight rare."""
+    return st.integers(0, 7).flatmap(lambda roll: rare if roll == 0 else usual)
+
+
+def _option(flag, values):
+    """flag with a value, a junk value one time in eight; left out one time in eight."""
+    return _rarely(st.just([]), _rarely(_JUNK, values).map(lambda value: [flag, value]))
+
+
+_INTS = st.integers(-2, 40).map(str)
+_FLOATS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-6", "0.5", "1", "2", "5", "1e200"]),
+    st.floats(-1, 5).map(repr),
+)
+# tolerances stay coarse: power iteration below about 1e-12 can run its
+# whole iteration budget
+_TOLS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-9", "1e-6", "0.5", "2"])
+_TMK = st.builds(lambda m, k: f"{m},{k}", st.integers(0, 4), st.integers(1, 6))
+_RANGE = st.builds(lambda lo, hi: f"{lo}..{hi}", st.integers(0, 4), st.integers(0, 12))
+
+
+@st.composite
+def _argv(draw, spec_dir):
+    source = st.one_of(
+        _option("--tmk", _TMK),
+        _option("--spec", st.sampled_from(sorted(FUZZ_SPECS) + ["missing.txt"])).map(
+            lambda pair: [pair[0], f"{spec_dir}/{pair[1]}"] if pair else pair
+        ),
+    )
+    export = _rarely(_option("--export-automaton", st.just(f"{spec_dir}/edges.txt")), st.just([]))
+    options = {
+        "count": [source, _option("--n", _INTS)],
+        "enumerate": [
+            source,
+            _option("--n", st.integers(-2, 10).map(str)),
+            _option("--order", st.sampled_from(["lex", "constructive"])),
+        ],
+        "sequence": [_rarely(st.just(["--three-symbol"]), source), _option("--n-max", _INTS)],
+        "entropy": [
+            source,
+            _option("--method", st.sampled_from(["poly", "matrix", "both", "auto"])),
+            _option("--base", st.sampled_from(["e", "2", "10"])),
+            _rarely(_option("--tol", _TOLS), st.just([])),
+            export,
+        ],
+        "verify": [source, _option("--n-max", _INTS), export],
+        "design": [
+            _option("--target-entropy", _FLOATS) | _option("--target-ratio", _FLOATS),
+            _option("--m", st.integers(0, 4).map(str)) | _option("--m-range", _RANGE),
+            _option("--k-range", _RANGE),
+            _option("--base", st.sampled_from(["e", "2", "10"])),
+            _rarely(_option("--tol", _TOLS), st.just([])),
+        ],
+        "table": [
+            _option("--m-range", _RANGE),
+            _option("--k-range", _RANGE),
+            _option("--base", st.sampled_from(["e", "2", "10"])),
+        ],
+    }
+    command = draw(_rarely(st.sampled_from(["", "bogus"]), st.sampled_from(sorted(options))))
+    argv = [command] if command else []
+    for option in options.get(command, []):
+        argv.extend(draw(option))
+    argv.extend(draw(_option("--format", st.sampled_from(["text", "csv", "json"]))))
+    extra = draw(_rarely(_JUNK, st.none()))
+    if extra is not None:
+        argv.insert(draw(st.integers(0, len(argv))), extra)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_spec_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz-specs")
+    for name, text in FUZZ_SPECS.items():
+        (directory / name).write_text(text)
+    return directory
+
+
+def test_fuzzed_argv_ends_in_an_exit_code(fuzz_spec_dir):
+    @settings(max_examples=400, deadline=None)
+    @given(_argv(str(fuzz_spec_dir)))
+    def check(argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in stderr.getvalue()
+
+    check()

@@ -170,6 +170,8 @@ def test_parse_block_errors():
         parse_block("1,-2", 11)
     with pytest.raises(ParseError):
         parse_block("1,,2", 11)
+    with pytest.raises(ParameterError):
+        parse_block("0", True)
 
 
 @settings(max_examples=60, deadline=None)

@@ -178,6 +178,20 @@ def test_enumeration_resource_guard(golden_spec):
     assert count_blocks(FULL_SHIFT_2, 30) == 2**30
 
 
+def test_constructive_refuses_over_the_cap_without_its_count():
+    # a(200000) of the golden mean space has 41798 digits; the refusal
+    # names the cap, never the count
+    with pytest.raises(ResourceLimitError) as info:
+        enumerate_blocks_constructive(TmkParams(1, 2), 200000)
+    assert str(info.value) == (
+        "materializing the allowed blocks of length 200000 exceeds the cap of 16777216 blocks"
+    )
+    # a(5) = 13 is the first count over a cap of 12
+    with pytest.raises(ResourceLimitError):
+        enumerate_blocks_constructive(TmkParams(1, 2), 5, max_candidates=12)
+    assert len(enumerate_blocks_constructive(TmkParams(1, 2), 5, max_candidates=13)) == 13
+
+
 def test_constructive_order_golden_mean():
     params = TmkParams(1, 2)
     assert blocks_to_tuples(enumerate_blocks_constructive(params, 3)) == [

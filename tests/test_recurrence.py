@@ -221,6 +221,14 @@ def test_sum_recurrence_validation():
         seq.value_at(4)
 
 
+def test_infer_recurrence_from_sum_recurrence():
+    rec = infer_recurrence(sum_recurrence_three_symbol(12), 3)
+    assert rec is not None
+    assert rec.order == 2
+    assert rec.coefficients == (2, 1)
+    assert rec.initial_terms == (3, 7)
+
+
 def test_limit_ratio_small_index():
     rec = tmk_recurrence(TmkParams(1, 2))
     assert limit_ratio(rec, 2) == 1.5
