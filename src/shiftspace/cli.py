@@ -217,7 +217,7 @@ def _cmd_entropy(args) -> int:
 def _verify_recurrence_for(args, counts) -> tuple[Optional[recurrence.LinearRecurrence], str]:
     if args.tmk is not None:
         return recurrence.tmk_recurrence(args.tmk), "built-in"
-    max_order = min(8, (len(counts.counts) - 2) // 2)
+    max_order = (len(counts.counts) - 2) // 2
     if max_order < 1:
         return None, "none"
     inferred = recurrence.infer_recurrence(counts, max_order)

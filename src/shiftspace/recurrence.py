@@ -4,14 +4,16 @@ The spaced family with gap m over k symbols satisfies
 a(n) = a(n-1) + (k-1) * a(n-m-1) with a(n) = 1 + n(k-1) for n <= m+1.
 This module evaluates such recurrences exactly, checks them against
 independently computed counts, infers a least-order integer recurrence
-from raw counts by exact elimination, and carries the cumulative-sum
-recurrence of the three-symbol space with forbidden blocks 11 and 22.
+from raw counts by one exact Berlekamp-Massey pass, and carries the
+cumulative-sum recurrence of the three-symbol space with 11 and 22 forbidden.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import islice
+from math import gcd
 from typing import Iterator, Optional
 
 from .core import TmkParams, _require_int
@@ -69,24 +71,17 @@ def tmk_recurrence(params: TmkParams) -> LinearRecurrence:
 
 def _term_iter(rec: LinearRecurrence) -> Iterator[int]:
     """Yields a(offset), a(offset+1), ... exactly."""
-    window = list(rec.initial_terms)
-    yield from window
-    d = rec.order
+    window = deque(rec.initial_terms, maxlen=rec.order)
+    yield from rec.initial_terms
     while True:
-        nxt = sum(rec.coefficients[j] * window[d - 1 - j] for j in range(d))
-        yield nxt
-        window.pop(0)
-        window.append(nxt)
+        window.append(sum(c * a for c, a in zip(rec.coefficients, reversed(window))))
+        yield window[-1]
 
 
 def evaluate(rec: LinearRecurrence, n: int) -> int:
     """Exact value a(n) for n >= offset."""
     _require_int("index", n, rec.offset)
-    it = _term_iter(rec)
-    value = next(it)
-    for _ in range(n - rec.offset):
-        value = next(it)
-    return value
+    return next(islice(_term_iter(rec), n - rec.offset, None))
 
 
 def verify_recurrence(rec: LinearRecurrence, counts: CountSequence) -> RecurrenceCheck:
@@ -100,66 +95,63 @@ def verify_recurrence(rec: LinearRecurrence, counts: CountSequence) -> Recurrenc
     hi = counts.n_max
     if lo > hi:
         return RecurrenceCheck(status="inconclusive", terms_checked=0)
-    it = _term_iter(rec)
-    for _ in range(lo - rec.offset):
-        next(it)
-    checked = 0
-    for n in range(lo, hi + 1):
-        expected = next(it)
-        actual = counts.value_at(n)
-        checked += 1
+    expected_terms = islice(_term_iter(rec), lo - rec.offset, None)
+    actual_terms = counts.counts[lo - counts.n_min :]
+    for n, expected, actual in zip(range(lo, hi + 1), expected_terms, actual_terms):
         if expected != actual:
             return RecurrenceCheck(
                 status="mismatch",
-                terms_checked=checked,
+                terms_checked=n - lo + 1,
                 first_mismatch=n,
                 expected=expected,
                 actual=actual,
             )
-    if hi >= rec.offset + rec.order:
-        return RecurrenceCheck(status="match", terms_checked=checked)
-    return RecurrenceCheck(status="inconclusive", terms_checked=checked)
+    status = "match" if hi >= rec.offset + rec.order else "inconclusive"
+    return RecurrenceCheck(status=status, terms_checked=hi - lo + 1)
 
 
-def _solve_exact(rows: list[list[Fraction]]) -> Optional[list[Fraction]]:
-    """Solve an augmented exact linear system; None when inconsistent.
+def _berlekamp_massey(terms: tuple[int, ...], max_length: int) -> tuple[list[int], int]:
+    """Shortest linear recurrence of terms over the rationals (Massey 1969).
 
-    Free variables, if any, are set to zero.
+    Returns (connection, length): a primitive integer multiple of the
+    connection polynomial, which annihilates every length + 1 consecutive
+    terms, and its length.  Integers with the content divided out run
+    several times faster than Fractions.  The length never falls, so the
+    pass stops once it exceeds max_length.
     """
-    cols = len(rows[0]) - 1
-    mat = [row[:] for row in rows]
-    pivot_cols: list[int] = []
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][c]
-        mat[rank] = [v / inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        pivot_cols.append(c)
-        rank += 1
-        if rank == len(mat):
-            break
-    if any(mat[i][cols] != 0 for i in range(rank, len(mat))):
-        return None
-    solution = [Fraction(0)] * cols
-    for row, c in enumerate(pivot_cols):
-        solution[c] = mat[row][cols]
-    return solution
+    connection = [1]
+    previous = [1]  # the connection before the last length change
+    previous_discrepancy = 1
+    length = 0
+    gap = 1  # terms read since that change
+    for n in range(len(terms)):
+        discrepancy = sum(c * terms[n - j] for j, c in enumerate(connection))
+        if discrepancy:
+            # the rational update times previous_discrepancy * connection[0]
+            updated = [previous_discrepancy * c for c in connection]
+            updated += [0] * (len(previous) + gap - len(connection))
+            for j, b in enumerate(previous):
+                updated[j + gap] -= discrepancy * b
+            if 2 * length <= n:
+                previous, previous_discrepancy = connection, discrepancy
+                length, gap = n + 1 - length, 0
+            content = gcd(*updated)
+            connection = [c // content for c in updated]
+            if length > max_length:
+                break
+        gap += 1
+    return connection, length
 
 
 def infer_recurrence(counts: CountSequence, max_order: int) -> Optional[LinearRecurrence]:
     """Least-order integer recurrence reproducing every given count, or None.
 
-    For each candidate order the full overdetermined system is solved
-    exactly over the rationals; a solution is accepted only when it is
-    integral, has a nonzero trailing coefficient, and regenerates the whole
-    sequence from its leading terms.
+    One Berlekamp-Massey pass finds the shortest rational recurrence, which
+    is returned when its order is at most max_order, it is integral with a
+    nonzero trailing coefficient, and it regenerates the counts.  With
+    2 * max_order + 2 terms, every recurrence of order up to max_order is a
+    multiple of it, so none is integral with a nonzero trailing coefficient
+    when it is not (Gauss's lemma).
     """
     _require_int("max_order", max_order, 1)
     terms = counts.counts
@@ -168,26 +160,19 @@ def infer_recurrence(counts: CountSequence, max_order: int) -> Optional[LinearRe
             f"need at least {2 * max_order + 2} terms to infer up to order {max_order}, "
             f"got {len(terms)}"
         )
-    for order in range(1, max_order + 1):
-        rows = [
-            [Fraction(terms[i - j]) for j in range(1, order + 1)] + [Fraction(terms[i])]
-            for i in range(order, len(terms))
-        ]
-        solution = _solve_exact(rows)
-        if solution is None:
-            continue
-        if any(c.denominator != 1 for c in solution):
-            continue
-        coefficients = tuple(int(c) for c in solution)
-        if coefficients[-1] == 0:
-            continue
-        candidate = LinearRecurrence(
-            coefficients=coefficients,
-            initial_terms=terms[:order],
-            offset=counts.n_min,
-        )
-        if verify_recurrence(candidate, counts).status == "match":
-            return candidate
+    connection, order = _berlekamp_massey(terms, max_order)
+    if not 1 <= order <= max_order:
+        return None
+    lead = connection[0]
+    if len(connection) <= order or connection[order] == 0 or any(c % lead for c in connection):
+        return None
+    candidate = LinearRecurrence(
+        coefficients=tuple(-c // lead for c in connection[1:]),
+        initial_terms=terms[:order],
+        offset=counts.n_min,
+    )
+    if verify_recurrence(candidate, counts).status == "match":
+        return candidate
     return None
 
 
@@ -208,11 +193,7 @@ def sum_recurrence_three_symbol(n_max: int) -> CountSequence:
 def limit_ratio(rec: LinearRecurrence, n: int) -> float:
     """The ratio a(n) / a(n-1) as a correctly rounded float."""
     _require_int("index", n, rec.offset + 1)
-    it = _term_iter(rec)
-    previous = next(it)
-    current = next(it)
-    for _ in range(n - rec.offset - 1):
-        previous, current = current, next(it)
+    previous, current = islice(_term_iter(rec), n - rec.offset - 1, n - rec.offset + 1)
     if previous == 0:
         raise ZeroDivisionError(f"ratio at n = {n} undefined: a({n - 1}) is zero")
     return current / previous

@@ -176,11 +176,13 @@ def _sparse_rows(matrix: AdjacencyMatrix) -> list[list[tuple[int, int]]]:
 
 
 def _edge_rows(automaton: TransferAutomaton) -> list[list[tuple[int, int]]]:
-    """Sparse rows of the adjacency matrix, read straight off the edges."""
-    rows: list[dict[int, int]] = [{} for _ in automaton.states]
-    for source, target, _symbol in automaton.edges:
-        rows[source][target] = rows[source].get(target, 0) + 1
-    return [sorted(row.items()) for row in rows]
+    """Sparse rows of the adjacency matrix, read straight off the edges.
+
+    Every weight is 1, since a target ends with the symbol that leads to
+    it, and targets come in column order, since states are sorted and
+    symbols are tried in increasing order.
+    """
+    return [[(target, 1) for target in targets] for targets in automaton.out_lists()]
 
 
 def _power_iteration(

@@ -286,6 +286,20 @@ def test_verify_spec_infers_recurrence(capsys, golden_file):
     assert doc["recurrence"]["coefficients"] == [1, 1]
 
 
+def test_verify_spec_infers_order_above_eight(capsys, tmp_path):
+    # tmk(12, 2) needs order 13, which --n-max 30 allows: (30 - 2) / 2 = 14
+    path = tmp_path / "tmk-12-2.txt"
+    path.write_text("k=2\n" + "".join("1" + "0" * j + "1\n" for j in range(12)))
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(path), "--n-max", "30")
+    assert code == 0
+    assert "recurrence source: inferred (order 13)" in out
+    code, out, _ = run_cli(
+        capsys, "verify", "--spec", str(path), "--n-max", "30", "--format", "json"
+    )
+    assert code == 0
+    assert check_schema(out, "verify")["recurrence"]["coefficients"] == [1] + [0] * 11 + [1]
+
+
 def test_verify_short_run_has_no_recurrence(capsys, golden_file):
     code, out, _ = run_cli(
         capsys, "verify", "--spec", golden_file, "--n-max", "3", "--format", "json"

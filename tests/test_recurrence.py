@@ -1,8 +1,12 @@
 """Tests for recurrence evaluation, verification, and inference."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from conftest import spec_from_tuples
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftspace import (
     CountSequence,
@@ -19,6 +23,7 @@ from shiftspace import (
     tmk_spec,
     verify_recurrence,
 )
+from shiftspace.core import _require_int
 from shiftspace.recurrence import evaluate, limit_ratio
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -164,6 +169,140 @@ def test_infer_recurrence_needs_enough_terms():
         infer_recurrence(counts, 2)
     with pytest.raises(ParameterError):
         infer_recurrence(counts, 0)
+
+
+@pytest.mark.parametrize("terms", [(64, 32, 16, 8, 4, 2), (0, 0, 0, 0, 0, 0)])
+def test_infer_recurrence_none_without_integer_recurrence(terms):
+    # Halving has only the rational recurrence a(n) = a(n-1) / 2, and the
+    # zero sequence has no recurrence of order 1 or more.
+    assert infer_recurrence(CountSequence(counts=terms, n_min=1), 2) is None
+
+
+def _solve_exact(rows):
+    """Solve an augmented exact linear system; None when inconsistent.
+
+    Free variables, if any, are set to zero.
+    """
+    cols = len(rows[0]) - 1
+    mat = [row[:] for row in rows]
+    pivot_cols = []
+    rank = 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = mat[rank][c]
+        mat[rank] = [v / inv for v in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+        pivot_cols.append(c)
+        rank += 1
+        if rank == len(mat):
+            break
+    if any(mat[i][cols] != 0 for i in range(rank, len(mat))):
+        return None
+    solution = [Fraction(0)] * cols
+    for row, c in enumerate(pivot_cols):
+        solution[c] = mat[row][cols]
+    return solution
+
+
+def reference_infer_recurrence(counts, max_order):
+    """Per-order exact elimination: the reference infer_recurrence must equal.
+
+    For each order from 1 to max_order the full overdetermined system is
+    solved over the rationals, and the first integral solution with a
+    nonzero trailing coefficient that regenerates the counts is returned.
+    """
+    _require_int("max_order", max_order, 1)
+    terms = counts.counts
+    if len(terms) < 2 * max_order + 2:
+        raise ParameterError(
+            f"need at least {2 * max_order + 2} terms to infer up to order {max_order}, "
+            f"got {len(terms)}"
+        )
+    for order in range(1, max_order + 1):
+        rows = [
+            [Fraction(terms[i - j]) for j in range(1, order + 1)] + [Fraction(terms[i])]
+            for i in range(order, len(terms))
+        ]
+        solution = _solve_exact(rows)
+        if solution is None or any(c.denominator != 1 for c in solution):
+            continue
+        coefficients = tuple(int(c) for c in solution)
+        if coefficients[-1] == 0:
+            continue
+        candidate = LinearRecurrence(
+            coefficients=coefficients, initial_terms=terms[:order], offset=counts.n_min
+        )
+        if verify_recurrence(candidate, counts).status == "match":
+            return candidate
+    return None
+
+
+@st.composite
+def _spec_counts(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    word = st.lists(st.integers(min_value=0, max_value=k - 1), min_size=1, max_size=4)
+    spec = spec_from_tuples(k, draw(st.lists(word, max_size=4)))
+    return list(count_sequence(spec, draw(st.integers(min_value=4, max_value=18))))
+
+
+@st.composite
+def _perturbed_recurrence_terms(draw):
+    """Terms of a random rational recurrence, scaled to integers, with a perturbed head."""
+    order = draw(st.integers(min_value=1, max_value=4))
+    ratio = st.builds(
+        Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)
+    )
+    coefficients = draw(st.lists(ratio, min_size=order, max_size=order))
+    head = st.lists(st.integers(min_value=-3, max_value=3), min_size=order, max_size=order)
+    terms = [Fraction(t) for t in draw(head)]
+    length = draw(st.integers(min_value=4, max_value=18))
+    while len(terms) < length:
+        terms.append(sum(c * terms[-j] for j, c in enumerate(coefficients, 1)))
+    scale = math.lcm(*(t.denominator for t in terms))
+    terms = [int(t * scale) for t in terms]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=min(order, len(terms) - 1)))
+        terms[i] += draw(st.integers(min_value=-2, max_value=2))
+    return terms
+
+
+def _inference_outcome(infer, counts, max_order):
+    try:
+        return infer(counts, max_order)
+    except ParameterError as error:
+        return ("ParameterError", str(error))
+
+
+@st.composite
+def _inference_cases(draw):
+    """Counts and a max_order up to one past what their length allows."""
+    terms = draw(
+        st.one_of(
+            _spec_counts(),
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=18),
+            _perturbed_recurrence_terms(),
+        )
+    )
+    counts = CountSequence(counts=tuple(terms), n_min=draw(st.sampled_from([0, 1, 3])))
+    fits = (len(terms) - 2) // 2
+    max_order = draw(
+        st.one_of(st.integers(min_value=1, max_value=fits), st.sampled_from([0, fits + 1]))
+    )
+    return counts, max_order
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=_inference_cases())
+def test_infer_recurrence_equals_elimination(case):
+    assert _inference_outcome(infer_recurrence, *case) == _inference_outcome(
+        reference_infer_recurrence, *case
+    )
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
