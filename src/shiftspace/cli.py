@@ -155,7 +155,14 @@ def _write(args, lines, header, rows, document: dict, code: int = 0) -> int:
 
 
 def _cmd_count(args) -> int:
-    value = str(enumeration.count_blocks(_resolve_spec(args), args.n))
+    if args.tmk is None:
+        value = str(enumeration.count_blocks(core.load_spec_file(args.spec), args.n))
+    else:
+        # the family's recurrence answers in O(m^2 log n) and never builds
+        # the (k-1)^2 * m forbidden blocks; it starts at n = 1
+        core._require_int("block length", args.n, 0)
+        count = recurrence.evaluate(recurrence.tmk_recurrence(args.tmk), args.n) if args.n else 1
+        value = str(count)
     return _write(args, [value], ("n", "count"), [(args.n, value)], {"n": args.n, "count": value})
 
 

@@ -2,7 +2,8 @@
 
 The spaced family with gap m over k symbols satisfies
 a(n) = a(n-1) + (k-1) * a(n-m-1) with a(n) = 1 + n(k-1) for n <= m+1.
-This module evaluates such recurrences exactly, checks them against
+This module evaluates such recurrences exactly, at large n by powering x
+modulo the characteristic polynomial, checks them against
 independently computed counts, infers a least-order integer recurrence
 from raw counts by one exact Berlekamp-Massey pass, and carries the
 cumulative-sum recurrence of the three-symbol space with 11 and 22 forbidden.
@@ -78,10 +79,68 @@ def _term_iter(rec: LinearRecurrence) -> Iterator[int]:
         yield window[-1]
 
 
+def _reduce(product: list[int], coefficients: tuple[int, ...]) -> list[int]:
+    """product modulo x^d - c1 x^(d-1) - ... - cd, coefficients from x^0 up.
+
+    Each top coefficient t of x^i becomes t * cj on x^(i-j), from the top
+    down; zero coefficients are skipped, so a sparse recurrence reduces in
+    O(d) per power of x.
+    """
+    order = len(coefficients)
+    taps = [(j, c) for j, c in enumerate(coefficients, start=1) if c]
+    for top in range(len(product) - 1, order - 1, -1):
+        lead = product[top]
+        if lead:
+            for j, c in taps:
+                product[top - j] += c * lead
+    del product[order:]
+    return product
+
+
+def _power_mod(coefficients: tuple[int, ...], e: int) -> list[int]:
+    """x^e modulo the characteristic polynomial, as d coefficients from x^0 up.
+
+    Left-to-right binary powering (Fiduccia 1985): a schoolbook square, and
+    a multiplication by x for each set bit, each reduced at once, so the
+    cost is O(d^2 log e) products.  x acts on the sequence as the shift and
+    the characteristic polynomial annihilates it, so a(offset + e) is the
+    dot product of the result with the initial terms.
+    """
+    residue = [1] + [0] * (len(coefficients) - 1)
+    for bit in bin(e)[2:]:
+        square = [0] * (2 * len(residue) - 1)
+        for i, a in enumerate(residue):
+            if a:
+                # each cross term once, doubled
+                square[2 * i] += a * a
+                twice = 2 * a
+                for j, b in enumerate(residue[i + 1 :], start=2 * i + 1):
+                    square[j] += twice * b
+        residue = _reduce(square, coefficients)
+        if bit == "1":
+            residue = _reduce([0] + residue, coefficients)
+    return residue
+
+
+def _walks(order: int, e: int) -> bool:
+    """Whether walking e terms costs no more coefficient products than powering.
+
+    The walk takes about e * d products, powering at most 2 d^2 per bit of e.
+    """
+    return e <= 2 * order * (e - 1).bit_length()
+
+
+def _dot(residue: list[int], terms: tuple[int, ...]) -> int:
+    return sum(r * a for r, a in zip(residue, terms))
+
+
 def evaluate(rec: LinearRecurrence, n: int) -> int:
-    """Exact value a(n) for n >= offset."""
+    """Exact value a(n) for n >= offset, in O(d^2 log n) products for large n."""
     _require_int("index", n, rec.offset)
-    return next(islice(_term_iter(rec), n - rec.offset, None))
+    e = n - rec.offset
+    if _walks(rec.order, e):
+        return next(islice(_term_iter(rec), e, None))
+    return _dot(_power_mod(rec.coefficients, e), rec.initial_terms)
 
 
 def verify_recurrence(rec: LinearRecurrence, counts: CountSequence) -> RecurrenceCheck:
@@ -193,7 +252,13 @@ def sum_recurrence_three_symbol(n_max: int) -> CountSequence:
 def limit_ratio(rec: LinearRecurrence, n: int) -> float:
     """The ratio a(n) / a(n-1) as a correctly rounded float."""
     _require_int("index", n, rec.offset + 1)
-    previous, current = islice(_term_iter(rec), n - rec.offset - 1, n - rec.offset + 1)
+    e = n - rec.offset
+    if _walks(rec.order, e):
+        previous, current = islice(_term_iter(rec), e - 1, e + 1)
+    else:
+        residue = _power_mod(rec.coefficients, e - 1)
+        previous = _dot(residue, rec.initial_terms)
+        current = _dot(_reduce([0] + residue, rec.coefficients), rec.initial_terms)
     if previous == 0:
         raise ZeroDivisionError(f"ratio at n = {n} undefined: a({n - 1}) is zero")
     return current / previous

@@ -113,26 +113,43 @@ def trim(automaton: TransferAutomaton) -> TransferAutomaton:
     it is the right carrier for entropy; finite-block counts must use the
     untrimmed automaton.
     """
-    alive = set(range(automaton.num_states))
-    while True:
-        out_degree = {u: 0 for u in alive}
-        in_degree = {u: 0 for u in alive}
-        for source, target, _symbol in automaton.edges:
-            if source in alive and target in alive:
-                out_degree[source] += 1
-                in_degree[target] += 1
-        dead = {u for u in alive if out_degree[u] == 0 or in_degree[u] == 0}
-        if not dead:
-            break
-        alive -= dead
-    keep = sorted(alive)
-    remap = {old: new for new, old in enumerate(keep)}
-    states = tuple(automaton.states[old] for old in keep)
-    edges = tuple(
-        (remap[source], remap[target], symbol)
-        for source, target, symbol in automaton.edges
-        if source in alive and target in alive
-    )
+    successors: list[list[int]] = [[] for _ in automaton.states]
+    predecessors: list[list[int]] = [[] for _ in automaton.states]
+    for source, target, _symbol in automaton.edges:
+        successors[source].append(target)
+        predecessors[target].append(source)
+    out_degree = list(map(len, successors))
+    in_degree = list(map(len, predecessors))
+    alive = list(map(bool, map(min, out_degree, in_degree)))
+    # each state enters the queue once, as it dies, and takes its edges
+    # away from the living, so the whole pass is O(V + E)
+    queue = [u for u, living in enumerate(alive) if not living]
+    while queue:
+        u = queue.pop()
+        for v in successors[u]:
+            if alive[v]:
+                in_degree[v] -= 1
+                if not in_degree[v]:
+                    alive[v] = False
+                    queue.append(v)
+        for v in predecessors[u]:
+            if alive[v]:
+                out_degree[v] -= 1
+                if not out_degree[v]:
+                    alive[v] = False
+                    queue.append(v)
+    # an automaton that loses no state keeps its tuples, which saves the
+    # remap on the small, mostly live automata that entropy runs on
+    states, edges = automaton.states, automaton.edges
+    if not all(alive):
+        keep = [u for u, living in enumerate(alive) if living]
+        remap = {old: new for new, old in enumerate(keep)}
+        states = tuple(states[old] for old in keep)
+        edges = tuple(
+            (remap[source], remap[target], symbol)
+            for source, target, symbol in edges
+            if alive[source] and alive[target]
+        )
     return TransferAutomaton(
         spec=automaton.spec,
         window=automaton.window,

@@ -241,6 +241,16 @@ def test_entropy_poly_never_builds_the_forbidden_set(capsys, no_tmk_spec):
 
 
 @pytest.mark.parametrize(
+    "n, expected", [("0", "1\n"), ("4", "1197\n"), ("40", "1856717437696188735126194412\n")]
+)
+def test_count_tmk_never_builds_the_forbidden_set(capsys, no_tmk_spec, n, expected):
+    # tmk(3,300) has 268,203 forbidden blocks
+    code, out, _ = run_cli(capsys, "count", "--tmk", "3,300", "--n", n)
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize(
     "argv, expected_code, expected_out",
     [
         (["entropy", "--tmk", "2000,1000"], 0, "lambda0=1.0060272043311 "),

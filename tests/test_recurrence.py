@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from conftest import spec_from_tuples
@@ -23,8 +24,9 @@ from shiftspace import (
     tmk_spec,
     verify_recurrence,
 )
+from shiftspace import recurrence
 from shiftspace.core import _require_int
-from shiftspace.recurrence import evaluate, limit_ratio
+from shiftspace.recurrence import _term_iter, evaluate, limit_ratio
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -401,3 +403,86 @@ def test_limit_ratio_validation():
     rec = tmk_recurrence(TmkParams(1, 2))
     with pytest.raises(ParameterError):
         limit_ratio(rec, 1)
+
+
+def walked(rec, n):
+    """a(n) by the term walk, the reference for the powering path."""
+    return next(islice(_term_iter(rec), n - rec.offset, None))
+
+
+@st.composite
+def small_recurrences(draw):
+    order = draw(st.integers(1, 12))
+    coefficients = draw(st.lists(st.integers(-5, 5), min_size=order, max_size=order))
+    coefficients[-1] = draw(st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]))
+    initial_terms = draw(st.lists(st.integers(-5, 5), min_size=order, max_size=order))
+    return LinearRecurrence(
+        coefficients=tuple(coefficients),
+        initial_terms=tuple(initial_terms),
+        offset=draw(st.integers(0, 3)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_recurrences(), st.integers(0, 400))
+def test_evaluate_and_limit_ratio_equal_the_walk(rec, e):
+    # e up to 400 lies on both sides of the walk/power rule for every order
+    n = rec.offset + e
+    assert evaluate(rec, n) == walked(rec, n)
+    if e == 0:
+        return
+    previous, current = walked(rec, n - 1), walked(rec, n)
+    if previous == 0:
+        with pytest.raises(ZeroDivisionError, match=f"a\\({n - 1}\\) is zero"):
+            limit_ratio(rec, n)
+    else:
+        assert limit_ratio(rec, n) == current / previous
+
+
+def test_walk_power_rule_sides():
+    # walk while e <= 2 d ceil(log2 e)
+    assert recurrence._walks(4, 48) and not recurrence._walks(4, 49)
+    assert recurrence._walks(250, 999) and not recurrence._walks(4, 999)
+
+
+def test_limit_ratio_zero_division_by_powering():
+    rec = LinearRecurrence(coefficients=(0, 1), initial_terms=(1, 0), offset=1)
+    assert not recurrence._walks(rec.order, 1000)
+    with pytest.raises(ZeroDivisionError, match=r"ratio at n = 1001 undefined: a\(1000\) is zero"):
+        limit_ratio(rec, 1001)
+    assert limit_ratio(rec, 1000) == 0.0
+
+
+def test_evaluate_golden_mean_at_a_million_by_companion_matrix():
+    p = 2**61 - 1
+
+    def product(x, y):
+        return [
+            [sum(x[i][t] * y[t][j] for t in range(2)) % p for j in range(2)] for i in range(2)
+        ]
+
+    # (a(n+1), a(n)) = M^(n-1) (a(2), a(1)) with M = [[1, 1], [1, 0]]
+    power, base, e = [[1, 0], [0, 1]], [[1, 1], [1, 0]], 10**6 - 1
+    while e:
+        if e & 1:
+            power = product(power, base)
+        base = product(base, base)
+        e >>= 1
+    expected = (power[1][0] * 3 + power[1][1] * 2) % p
+    assert evaluate(tmk_recurrence(TmkParams(1, 2)), 10**6) % p == expected
+
+
+def test_large_index_never_walks(monkeypatch):
+    rec = tmk_recurrence(TmkParams(3, 2))
+    assert rec.order == 4
+    p = 2**61 - 1
+    window = list(rec.initial_terms)
+    for _ in range(10**5 - rec.order):
+        window = window[1:] + [(window[-1] + window[0]) % p]
+
+    def refuse(rec):
+        raise AssertionError("_term_iter called")
+
+    monkeypatch.setattr(recurrence, "_term_iter", refuse)
+    assert evaluate(rec, 10**5) % p == window[-1]
+    assert limit_ratio(rec, 10**5) == pytest.approx(dominant_root(3, 2), rel=1e-15)

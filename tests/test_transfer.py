@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftspace import (
     AdjacencyMatrix,
@@ -23,6 +25,7 @@ from shiftspace import (
     tmk_spec,
     trim,
 )
+from shiftspace.transfer import TransferAutomaton
 
 from conftest import spec_from_tuples
 
@@ -117,6 +120,56 @@ def test_trim_idempotent(t22_spec):
     twice = trim(once)
     assert twice.states == once.states
     assert twice.edges == once.edges
+
+
+def reference_trim(automaton):
+    """The fixed-point loop trim used to run: rescan every edge until no state dies."""
+    alive = set(range(automaton.num_states))
+    while True:
+        out_degree = {u: 0 for u in alive}
+        in_degree = {u: 0 for u in alive}
+        for source, target, _symbol in automaton.edges:
+            if source in alive and target in alive:
+                out_degree[source] += 1
+                in_degree[target] += 1
+        dead = {u for u in alive if out_degree[u] == 0 or in_degree[u] == 0}
+        if not dead:
+            break
+        alive -= dead
+    keep = sorted(alive)
+    remap = {old: new for new, old in enumerate(keep)}
+    states = tuple(automaton.states[old] for old in keep)
+    edges = tuple(
+        (remap[source], remap[target], symbol)
+        for source, target, symbol in automaton.edges
+        if source in alive and target in alive
+    )
+    return TransferAutomaton(
+        spec=automaton.spec, window=automaton.window, states=states, edges=edges, trimmed=True
+    )
+
+
+@st.composite
+def untrimmed_automata(draw):
+    """Random automata: any states, and edges in any order, loops and chains included."""
+    size = draw(st.integers(0, 10))
+    if size == 0:
+        edges = []
+    else:
+        state = st.integers(0, size - 1)
+        edges = draw(st.lists(st.tuples(state, state, st.integers(0, 2)), max_size=30, unique=True))
+    return TransferAutomaton(
+        spec=FULL_SHIFT_2,
+        window=1,
+        states=tuple(Block((i,)) for i in range(size)),
+        edges=tuple(edges),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(untrimmed_automata())
+def test_trim_equals_fixed_point_loop(automaton):
+    assert trim(automaton) == reference_trim(automaton)
 
 
 def test_trim_keeps_periodic_cycle():
