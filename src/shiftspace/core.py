@@ -31,7 +31,7 @@ def _require_int(name: str, value, minimum: int) -> None:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Block:
     """A finite word of symbols.  The empty block is a valid value."""
 

@@ -71,11 +71,17 @@ def tmk_recurrence(params: TmkParams) -> LinearRecurrence:
 
 
 def _term_iter(rec: LinearRecurrence) -> Iterator[int]:
-    """Yields a(offset), a(offset+1), ... exactly."""
+    """Yields a(offset), a(offset+1), ... exactly.
+
+    Only the nonzero taps are multiplied, so a sparse recurrence of high
+    order, such as the spaced family's two taps, costs its taps per term.
+    """
+    # window[-j] is a(n-j), since the window holds the last d terms
+    taps = [(-j, c) for j, c in enumerate(rec.coefficients, start=1) if c]
     window = deque(rec.initial_terms, maxlen=rec.order)
     yield from rec.initial_terms
     while True:
-        window.append(sum(c * a for c, a in zip(rec.coefficients, reversed(window))))
+        window.append(sum(c * window[j] for j, c in taps))
         yield window[-1]
 
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +37,19 @@ def test_block_is_a_sequence():
 def test_block_ordering_is_lexicographic():
     assert Block((0, 1)) < Block((1, 0))
     assert sorted([Block((1, 0)), Block((0, 1)), Block((0, 0))])[0] == Block((0, 0))
+
+
+def test_block_round_trips_through_pickle_and_deepcopy():
+    # a frozen dataclass with slots pickles through the state methods the
+    # dataclass decorator adds, not through an instance dict
+    block = Block((0, 2, 1))
+    assert not hasattr(block, "__dict__")
+    for clone in (pickle.loads(pickle.dumps(block)), copy.deepcopy(block)):
+        assert clone == block and clone is not block
+        assert hash(clone) == hash(block)
+        assert {clone: 1}[block] == 1
+        assert Block((0, 2)) < clone < Block((1,))
+        assert sorted([Block((1,)), clone, Block(())]) == [Block(()), block, Block((1,))]
 
 
 def test_block_rejects_bad_symbols():

@@ -1,6 +1,7 @@
 """Tests for recurrence evaluation, verification, and inference."""
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import islice
 
@@ -408,6 +409,40 @@ def test_limit_ratio_validation():
 def walked(rec, n):
     """a(n) by the term walk, the reference for the powering path."""
     return next(islice(_term_iter(rec), n - rec.offset, None))
+
+
+def reference_term_iter(rec):
+    """The dense walk _term_iter used to make: every coefficient, zeros included."""
+    window = deque(rec.initial_terms, maxlen=rec.order)
+    yield from rec.initial_terms
+    while True:
+        window.append(sum(c * a for c, a in zip(rec.coefficients, reversed(window))))
+        yield window[-1]
+
+
+@st.composite
+def sparse_recurrences(draw):
+    """Recurrences of order up to 60 with at most three nonzero coefficients."""
+    order = draw(st.integers(1, 60))
+    nonzero = st.integers(-5, 5).filter(bool)
+    taps = draw(st.dictionaries(st.integers(1, order), nonzero, max_size=2))
+    taps[order] = draw(nonzero)
+    return LinearRecurrence(
+        coefficients=tuple(taps.get(j, 0) for j in range(1, order + 1)),
+        initial_terms=tuple(draw(st.lists(st.integers(-5, 5), min_size=order, max_size=order))),
+        offset=draw(st.integers(0, 3)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_recurrences())
+def test_term_walk_over_nonzero_taps_equals_dense_walk(rec):
+    assert list(islice(_term_iter(rec), 200)) == list(islice(reference_term_iter(rec), 200))
+
+
+def test_term_walk_of_wide_spaced_family_equals_dense_walk():
+    rec = tmk_recurrence(TmkParams(300, 3))
+    assert list(islice(_term_iter(rec), 1000)) == list(islice(reference_term_iter(rec), 1000))
 
 
 @st.composite

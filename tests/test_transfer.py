@@ -1,9 +1,11 @@
 """Tests for the block automaton: construction, counting, eigenvalues."""
 
 import math
+from collections import Counter
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftspace import (
@@ -25,7 +27,8 @@ from shiftspace import (
     tmk_spec,
     trim,
 )
-from shiftspace.transfer import TransferAutomaton
+from shiftspace import transfer
+from shiftspace.transfer import TransferAutomaton, _path_counts, _refine
 
 from conftest import spec_from_tuples
 
@@ -149,6 +152,16 @@ def reference_trim(automaton):
     )
 
 
+def synthetic_automaton(size, edges):
+    """An automaton on states 0..size-1 with the given (source, target, symbol) edges."""
+    return TransferAutomaton(
+        spec=FULL_SHIFT_2,
+        window=1,
+        states=tuple(Block((i,)) for i in range(size)),
+        edges=tuple(edges),
+    )
+
+
 @st.composite
 def untrimmed_automata(draw):
     """Random automata: any states, and edges in any order, loops and chains included."""
@@ -158,12 +171,7 @@ def untrimmed_automata(draw):
     else:
         state = st.integers(0, size - 1)
         edges = draw(st.lists(st.tuples(state, state, st.integers(0, 2)), max_size=30, unique=True))
-    return TransferAutomaton(
-        spec=FULL_SHIFT_2,
-        window=1,
-        states=tuple(Block((i,)) for i in range(size)),
-        edges=tuple(edges),
-    )
+    return synthetic_automaton(size, edges)
 
 
 @settings(max_examples=500, deadline=None)
@@ -211,6 +219,116 @@ def test_count_via_matrix_matches_enumeration(m, k):
     automaton = build_automaton(spec)
     for n in range(0, 12):
         assert count_via_matrix(automaton, n) == count_blocks(spec, n)
+
+
+def reference_path_counts(automaton):
+    """The dense walk _path_counts used to make: every state at every step."""
+    weights = [1] * automaton.num_states
+    out = automaton.out_lists()
+    while True:
+        yield sum(weights)
+        weights = [sum(weights[target] for target in targets) for targets in out]
+
+
+def first_counts(counts, n=40):
+    return list(islice(counts, n))
+
+
+@st.composite
+def random_specs(draw):
+    """Specs of a few random words over 2 or 3 symbols; some shifts are empty."""
+    k = draw(st.integers(2, 3))
+    word = st.lists(st.integers(0, k - 1), min_size=1, max_size=5).map(tuple)
+    return spec_from_tuples(k, draw(st.lists(word, min_size=0, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_specs())
+def test_path_counts_equal_dense_walk_on_spec_automata(spec):
+    automaton = build_automaton(spec)
+    assert first_counts(_path_counts(automaton)) == first_counts(reference_path_counts(automaton))
+
+
+@settings(max_examples=500, deadline=None)
+@given(untrimmed_automata())
+@example(synthetic_automaton(0, []))
+@example(synthetic_automaton(3, []))  # isolated states only
+@example(synthetic_automaton(1, [(0, 0, 0)]))  # one self-loop
+@example(synthetic_automaton(4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)]))  # a chain into a dead end
+@example(synthetic_automaton(3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (2, 2, 0)]))  # parallel loops
+def test_path_counts_equal_dense_walk_on_synthetic_automata(automaton):
+    # dead ends, self-loops, parallel edges, isolated states and no states at all
+    assert first_counts(_path_counts(automaton)) == first_counts(reference_path_counts(automaton))
+
+
+def coarsest_partition(out):
+    """Classes after refining until a round splits nothing, and the rounds taken."""
+    classes, rounds = [0] * len(out), 0
+    while True:
+        refined, _signatures = _refine(classes, out)
+        rounds += 1
+        if len(set(refined)) == len(set(classes)):
+            return refined, rounds
+        classes = refined
+
+
+def trailing_ones(block):
+    return len(block) - len(bytes(block.symbols).rstrip(b"\x01"))
+
+
+def test_quotient_of_word_automaton_is_equitable():
+    automaton = build_automaton(spec_from_tuples(2, [(1,) * 12]))
+    assert (automaton.num_states, len(automaton.edges)) == (2048, 4095)
+    out = automaton.out_lists()
+    classes, _rounds = coarsest_partition(out)
+    # the classes are the windows' numbers of trailing ones, 0 to 11
+    assert len(set(classes)) == 12
+    assert len(set(zip(map(trailing_ones, automaton.states), classes))) == 12
+    # equitable: every state of a class has the same number of edges into each class
+    profiles = {}
+    for u, targets in enumerate(out):
+        profile = Counter(classes[v] for v in targets)
+        assert profiles.setdefault(classes[u], profile) == profile
+
+
+def counting_refine(monkeypatch):
+    """Patch _refine to record each round it runs."""
+    rounds = []
+
+    def wrapper(classes, out):
+        rounds.append(len(classes))
+        return _refine(classes, out)
+
+    monkeypatch.setattr(transfer, "_refine", wrapper)
+    return rounds
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        spec_from_tuples(2, [(1,) * 12]),
+        tmk_spec(TmkParams(3, 4)),
+        spec_from_tuples(3, [(0, 1), (1, 2, 2), (2, 0)]),
+        spec_from_tuples(2, [(0,), (1, 1)]),
+    ],
+)
+def test_refinement_runs_at_most_one_round_per_count(spec, monkeypatch):
+    automaton = build_automaton(spec)
+    _classes, stable_after = coarsest_partition(automaton.out_lists())
+    rounds = counting_refine(monkeypatch)
+    counts = _path_counts(automaton)
+    for yielded in range(1, 41):
+        next(counts)
+        # one round before each count after the first, none once a round split nothing
+        assert len(rounds) == min(yielded - 1, stable_after) <= yielded
+
+
+def test_short_walk_pays_for_two_rounds(monkeypatch):
+    automaton = build_automaton(spec_from_tuples(2, [(1,) * 12]))
+    rounds = counting_refine(monkeypatch)
+    # of the 2^13 words of length 13, 1^13, 01^12 and 1^12 0 are forbidden
+    assert count_via_matrix(automaton, automaton.window + 2) == 2**13 - 3
+    assert len(rounds) == 2
 
 
 def test_dominant_eigenvalue_golden(golden_spec):
