@@ -40,9 +40,6 @@ _USER_ERRORS = (
     OSError,
 )
 
-_POLY_TOL = 1e-12
-_MATRIX_TOL = 1e-9
-
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
@@ -202,13 +199,13 @@ def _cmd_entropy(args) -> int:
     spec = None
     if method in ("matrix", "both") or args.export_automaton:
         spec = _resolve_spec(args)
+    # each method keeps its own default tolerance unless --tol is given
+    tol = {} if args.tol is None else {"tol": args.tol}
     reports = []
     if method in ("poly", "both"):
-        tol = args.tol if args.tol is not None else _POLY_TOL
-        reports.append(spectral.entropy_tmk(args.tmk.m, args.tmk.k, log_base=args.base, tol=tol))
+        reports.append(spectral.entropy_tmk(args.tmk.m, args.tmk.k, log_base=args.base, **tol))
     if method in ("matrix", "both"):
-        tol = args.tol if args.tol is not None else _MATRIX_TOL
-        reports.append(transfer.entropy_numeric(spec, tol=tol, log_base=args.base))
+        reports.append(transfer.entropy_numeric(spec, log_base=args.base, **tol))
     if args.export_automaton:
         automaton = transfer.build_automaton(spec)
         Path(args.export_automaton).write_text(transfer.edge_list_text(automaton))

@@ -66,6 +66,17 @@ def _require_range(name: str, bounds, minimum: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _scan(m_range, k_range, log_base: str):
+    """(m, k, entropy_tmk report) over the grid, m-major; the ranges are checked at once."""
+    m_lo, m_hi = _require_range("m_range", m_range, 1)
+    k_lo, k_hi = _require_range("k_range", k_range, 2)
+    return (
+        (m, k, entropy_tmk(m, k, log_base=log_base))
+        for m in range(m_lo, m_hi + 1)
+        for k in range(k_lo, k_hi + 1)
+    )
+
+
 def k_for_target_ratio(lambda_target: float, m: int) -> int | None:
     """Alphabet size whose gap-m space grows at lambda_target, or None.
 
@@ -117,24 +128,20 @@ def design_for_entropy(
     if not math.isfinite(target_entropy) or target_entropy <= 0.0:
         raise ParameterError(f"target_entropy must be finite and > 0, got {target_entropy}")
     _require_tol(tol)
-    m_lo, m_hi = _require_range("m_range", m_range, 1)
-    k_lo, k_hi = _require_range("k_range", k_range, 2)
     results = []
-    for m in range(m_lo, m_hi + 1):
-        for k in range(k_lo, k_hi + 1):
-            report = entropy_tmk(m, k, log_base=log_base)
-            deviation = abs(report.entropy - target_entropy)
-            if deviation <= tol:
-                results.append(
-                    DesignResult(
-                        m=m,
-                        k=k,
-                        lambda0=report.lambda0,
-                        entropy=report.entropy,
-                        deviation=deviation,
-                        exact=deviation < EXACT_DEVIATION,
-                    )
+    for m, k, report in _scan(m_range, k_range, log_base):
+        deviation = abs(report.entropy - target_entropy)
+        if deviation <= tol:
+            results.append(
+                DesignResult(
+                    m=m,
+                    k=k,
+                    lambda0=report.lambda0,
+                    entropy=report.entropy,
+                    deviation=deviation,
+                    exact=deviation < EXACT_DEVIATION,
                 )
+            )
     results.sort(key=lambda r: (r.deviation, r.m, r.k))
     return results
 
@@ -145,11 +152,7 @@ def entropy_table(
     log_base: str = "e",
 ) -> list[EntropyTableRow]:
     """Growth rate and entropy for every pair on the grid, m-major order."""
-    m_lo, m_hi = _require_range("m_range", m_range, 1)
-    k_lo, k_hi = _require_range("k_range", k_range, 2)
-    rows = []
-    for m in range(m_lo, m_hi + 1):
-        for k in range(k_lo, k_hi + 1):
-            report = entropy_tmk(m, k, log_base=log_base)
-            rows.append(EntropyTableRow(m=m, k=k, lambda0=report.lambda0, entropy=report.entropy))
-    return rows
+    return [
+        EntropyTableRow(m=m, k=k, lambda0=report.lambda0, entropy=report.entropy)
+        for m, k, report in _scan(m_range, k_range, log_base)
+    ]

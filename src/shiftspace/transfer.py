@@ -15,14 +15,15 @@ an amalgamation (Lind and Marcus 1995, section 2.4), the quotient keeps
 every path count; the 2^11 states of the automaton of 1^12 fall into 12
 classes.  Entropy comes from the dominant eigenvalue of the trimmed
 automaton, computed by power iteration with a Collatz-Wielandt enclosure
-over sparse rows, so one step costs the number of edges, not states^2.
+that reads the same out-lists as the path counts, one entry per edge, so
+one step costs the number of edges, not states^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from operator import mul
+from operator import mul, truediv
 from typing import Iterator
 
 from .core import Block, ShiftSpaceSpec, _require_int, validate_spec
@@ -241,53 +242,47 @@ def _path_counts(automaton: TransferAutomaton) -> Iterator[int]:
         weights = [sum(map(weight, targets)) for targets in quotient]
 
 
-def _sparse_rows(matrix: AdjacencyMatrix) -> list[list[tuple[int, int]]]:
-    """The nonzero (column, weight) pairs of each row, in column order."""
-    return [[(j, weight) for j, weight in enumerate(row) if weight] for row in matrix.rows]
-
-
-def _edge_rows(automaton: TransferAutomaton) -> list[list[tuple[int, int]]]:
-    """Sparse rows of the adjacency matrix, read straight off the edges.
-
-    Every weight is 1, since a target ends with the symbol that leads to
-    it, and targets come in column order, since states are sorted and
-    symbols are tried in increasing order.
-    """
-    return [[(target, 1) for target in targets] for targets in automaton.out_lists()]
-
-
 def _power_iteration(
-    rows: list[list[tuple[int, int]]], tol: float, max_iterations: int
+    out: list[list[int]], tol: float, max_iterations: int
 ) -> tuple[float, float, int]:
     """Collatz-Wielandt enclosure of the dominant eigenvalue of A + I.
 
-    rows holds the nonzero (column, weight) pairs of A in column order, so
-    a step makes the same float operations, in the same order, as a dense
-    row scan that skips zeros.  Returns (eigenvalue of A, half-width of the
-    final enclosure, iterations).  The shift by I keeps the iteration
-    positive and removes periodicity, and the enclosure brackets the
-    dominant eigenvalue of a nonnegative matrix at every step.
+    out lists each state's targets in column order, one entry per edge, so
+    on a 0/1 matrix a step makes the same float operations, in the same
+    order, as a dense row scan that skips zeros; an entry w of 2 or more is
+    added w times.  Returns (eigenvalue of A, half-width of the final
+    enclosure, iterations).  The shift by I keeps the iteration positive
+    and removes periodicity, and the enclosure brackets the dominant
+    eigenvalue of a nonnegative matrix at every step.  A state that grows
+    slower than the top can see its entry underflow to 0.0; the iteration
+    then ends in ConvergenceError with the last enclosure.
     """
-    size = len(rows)
-    vector = [1.0] * size
+    vector = [1.0] * len(out)
     lo, hi = 0.0, float("inf")
     for iteration in range(1, max_iterations + 1):
-        image = [
-            vector[i] + sum(weight * vector[j] for j, weight in row)
-            for i, row in enumerate(rows)
-        ]
-        ratios = [image[i] / vector[i] for i in range(size)]
+        entry = vector.__getitem__
+        image = [own + sum(map(entry, targets)) for own, targets in zip(vector, out)]
+        try:
+            ratios = list(map(truediv, image, vector))
+        except ZeroDivisionError:
+            message = f"power iteration underflowed a state's weight to 0.0 at iteration {iteration}"
+            break
         lo, hi = min(ratios), max(ratios)
         if hi - lo < tol:
             return 0.5 * (lo + hi) - 1.0, 0.5 * (hi - lo), iteration
         top = max(image)
         vector = [value / top for value in image]
+    else:
+        iteration = max_iterations
+        message = (
+            f"power iteration did not close the enclosure below tol={tol} "
+            f"within {max_iterations} iterations"
+        )
     raise ConvergenceError(
-        f"power iteration did not close the enclosure below tol={tol} "
-        f"within {max_iterations} iterations",
+        message,
         last_estimate=0.5 * (lo + hi) - 1.0,
         residual=0.5 * (hi - lo),
-        iterations=max_iterations,
+        iterations=iteration,
     )
 
 
@@ -298,7 +293,9 @@ def dominant_eigenvalue(
     _require_tol(tol)
     if matrix.size == 0:
         raise EmptyShiftSpaceError("the automaton has no states; the shift space is empty")
-    value, _residual, _iterations = _power_iteration(_sparse_rows(matrix), tol, max_iterations)
+    # column j listed weight times, the form entropy_numeric reads off the edges
+    out = [[j for j, weight in enumerate(row) for _ in range(weight)] for row in matrix.rows]
+    value, _residual, _iterations = _power_iteration(out, tol, max_iterations)
     return value
 
 
@@ -317,7 +314,7 @@ def entropy_numeric(
         raise EmptyShiftSpaceError(
             "every state dies under trimming; the shift space is empty and entropy is undefined"
         )
-    value, residual, _iterations = _power_iteration(_edge_rows(automaton), tol, max_iterations)
+    value, residual, _iterations = _power_iteration(automaton.out_lists(), tol, max_iterations)
     return EntropyReport(
         lambda0=value,
         entropy=_log(value, log_base),

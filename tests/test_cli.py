@@ -222,6 +222,17 @@ def test_entropy_convergence_failure_exit_code(capsys, monkeypatch):
     assert err == "shiftspace: numeric error: stuck (last_estimate=1 residual=1 iterations=5)\n"
 
 
+def test_entropy_underflow_exits_two_without_traceback(capsys, tmp_path):
+    # state 3 loops only on itself and its power-iteration entry underflows
+    path = tmp_path / "underflow.txt"
+    path.write_text("k=4\n30\n31\n32\n")
+    code, out, err = run_cli(capsys, "entropy", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.endswith("(last_estimate=2 residual=1 iterations=1075)\n")
+
+
 @pytest.fixture
 def no_tmk_spec(monkeypatch):
     """Fails the test when the CLI builds a --tmk forbidden set."""

@@ -9,8 +9,10 @@ from shiftspace import (
     design_for_entropy,
     dominant_root,
     entropy_table,
+    entropy_tmk,
     k_for_target_ratio,
 )
+from shiftspace import design
 
 
 def test_k_for_target_ratio_frozen():
@@ -108,6 +110,49 @@ def test_design_for_entropy_validation():
         design_for_entropy(1.0, k_range=(5, 2))
     with pytest.raises(ParameterError):
         design_for_entropy(1.0, k_range=7)
+
+
+def test_design_for_entropy_validation_order(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid point was computed")
+
+    monkeypatch.setattr(design, "entropy_tmk", refuse)
+    # target, then tol, then m_range, then k_range, all before the scan starts
+    with pytest.raises(ParameterError, match="target_entropy"):
+        design_for_entropy(0.0, tol=0.0, m_range=(0, 2), k_range=(5, 2))
+    with pytest.raises(ParameterError, match="^tol must"):
+        design_for_entropy(1.0, tol=0.0, m_range=(0, 2), k_range=(5, 2))
+    with pytest.raises(ParameterError, match="m_range"):
+        design_for_entropy(1.0, m_range=(0, 2), k_range=(5, 2))
+    with pytest.raises(ParameterError, match="k_range"):
+        design_for_entropy(1.0, k_range=(5, 2))
+    with pytest.raises(ParameterError, match="m_range"):
+        entropy_table(m_range=(0, 2), k_range=(5, 2))
+    with pytest.raises(ParameterError, match="k_range"):
+        entropy_table(k_range=(5, 2))
+
+
+def test_grid_scans_call_entropy_tmk_once_per_pair_in_m_major_order(monkeypatch):
+    calls = []
+
+    def recording(m, k, log_base="e"):
+        calls.append((m, k))
+        return entropy_tmk(m, k, log_base=log_base)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("one public scan called the other")
+
+    monkeypatch.setattr(design, "entropy_tmk", recording)
+    grid = [(m, k) for m in (2, 3) for k in (3, 4, 5)]
+    monkeypatch.setattr(design, "entropy_table", refuse)
+    design_for_entropy(1.0, m_range=(2, 3), k_range=(3, 5), tol=10.0)
+    assert calls == grid
+    monkeypatch.undo()
+    monkeypatch.setattr(design, "entropy_tmk", recording)
+    monkeypatch.setattr(design, "design_for_entropy", refuse)
+    calls.clear()
+    rows = entropy_table(m_range=(2, 3), k_range=(3, 5))
+    assert calls == grid == [(row.m, row.k) for row in rows]
 
 
 def test_entropy_table_defaults():

@@ -370,6 +370,96 @@ def test_power_iteration_convergence_failure():
     assert err.residual == pytest.approx(0.5, abs=1e-12)
 
 
+def reference_power_iteration(rows, tol, max_iterations):
+    """The weighted loop _power_iteration used to run, over (column, weight) pairs."""
+    size = len(rows)
+    vector = [1.0] * size
+    lo, hi = 0.0, float("inf")
+    for iteration in range(1, max_iterations + 1):
+        image = [
+            vector[i] + sum(weight * vector[j] for j, weight in row)
+            for i, row in enumerate(rows)
+        ]
+        ratios = [image[i] / vector[i] for i in range(size)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo < tol:
+            return 0.5 * (lo + hi) - 1.0, 0.5 * (hi - lo), iteration
+        top = max(image)
+        vector = [value / top for value in image]
+    raise ConvergenceError(
+        f"power iteration did not close the enclosure below tol={tol} "
+        f"within {max_iterations} iterations",
+        last_estimate=0.5 * (lo + hi) - 1.0,
+        residual=0.5 * (hi - lo),
+        iterations=max_iterations,
+    )
+
+
+def power_outcome(loop, rows, tol, max_iterations):
+    """The triple a loop returns, or the message and fields of its ConvergenceError."""
+    try:
+        return loop(rows, tol, max_iterations)
+    except ConvergenceError as err:
+        return str(err), err.last_estimate, err.residual, err.iterations
+
+
+# k = 4 with 30, 31 and 32 forbidden: state 3 loops only on itself, so its
+# entry halves against the top at every step and underflows to 0.0
+UNDERFLOW_SPEC = spec_from_tuples(4, [(3, 0), (3, 1), (3, 2)])
+
+
+@st.composite
+def power_iteration_inputs(draw):
+    """Out-lists of trimmed spec automata or synthetic 0/1 matrices, a tol and an iteration cap."""
+    if draw(st.booleans()):
+        automaton = trim(build_automaton(draw(random_specs())))
+        out = automaton.out_lists()
+    else:
+        size = draw(st.integers(1, 8))
+        column = st.integers(0, size - 1)
+        out = [sorted(draw(st.sets(column, max_size=size))) for _ in range(size)]
+    tol = draw(st.sampled_from([1e-6, 1e-9, 1e-12]))
+    return out, tol, draw(st.integers(1, 3000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_iteration_inputs())
+@example((trim(build_automaton(UNDERFLOW_SPEC)).out_lists(), 1e-9, 3000))
+def test_power_iteration_equals_weighted_loop(inputs):
+    out, tol, max_iterations = inputs
+    if not out:
+        return  # every state died; both public callers refuse before iterating
+    rows = [[(j, 1) for j in targets] for targets in out]
+    new = power_outcome(transfer._power_iteration, out, tol, max_iterations)
+    try:
+        assert new == power_outcome(reference_power_iteration, rows, tol, max_iterations)
+    except ZeroDivisionError:
+        # the reference divides by a weight that underflowed to 0.0; the new
+        # loop stops at that iteration with the enclosure the step before
+        message, last_estimate, residual, iterations = new
+        with pytest.raises(ZeroDivisionError):
+            reference_power_iteration(rows, tol, iterations)
+        before = power_outcome(reference_power_iteration, rows, tol, iterations - 1)
+        assert (last_estimate, residual) == before[1:3]
+        assert "underflow" in message
+
+
+def test_underflow_ends_in_convergence_error():
+    matrix = trim(build_automaton(UNDERFLOW_SPEC)).adjacency_matrix()
+    for solve in (lambda: entropy_numeric(UNDERFLOW_SPEC), lambda: dominant_eigenvalue(matrix)):
+        with pytest.raises(ConvergenceError, match="underflow") as info:
+            solve()
+        err = info.value
+        # the enclosure stays [2, 4] for A + I: growth 1 on state 3, 3 on the rest
+        assert (err.last_estimate, err.residual, err.iterations) == (2.0, 1.0, 1075)
+
+
+def test_dominant_eigenvalue_of_a_multigraph():
+    # an entry of 2 is column 0 listed twice; the eigenvalues are 2 and -1
+    tol = 1e-9
+    assert abs(dominant_eigenvalue(AdjacencyMatrix(((1, 1), (2, 0))), tol=tol) - 2.0) < tol
+
+
 def test_entropy_numeric_golden(golden_spec):
     report = entropy_numeric(golden_spec, tol=1e-10)
     assert report.method == "transfer-matrix"
@@ -423,7 +513,7 @@ _EIGENVALUE_SPECS = [
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
 @pytest.mark.parametrize("spec", _EIGENVALUE_SPECS)
 def test_entropy_numeric_equals_dense_matrix_chain(spec, tol):
-    # entropy_numeric reads sparse rows off the edges; the public chain goes
+    # entropy_numeric reads the out-lists off the edges; the public chain goes
     # through the dense matrix, and both must give the same bits
     matrix = trim(build_automaton(spec)).adjacency_matrix()
     assert entropy_numeric(spec, tol=tol).lambda0 == dominant_eigenvalue(matrix, tol=tol)
