@@ -205,9 +205,18 @@ def _cmd_entropy(args) -> int:
     if method in ("poly", "both"):
         reports.append(spectral.entropy_tmk(args.tmk.m, args.tmk.k, log_base=args.base, **tol))
     if method in ("matrix", "both"):
-        reports.append(transfer.entropy_numeric(spec, log_base=args.base, **tol))
-    if args.export_automaton:
+        # entropy_numeric's steps on one build, which the export reuses
+        matrix_tol = transfer.DEFAULT_TOL if args.tol is None else args.tol
+        spectral._require_tol(matrix_tol)
         automaton = transfer.build_automaton(spec)
+        reports.append(
+            transfer._automaton_entropy(
+                automaton, matrix_tol, args.base, transfer.DEFAULT_MAX_ITERATIONS
+            )
+        )
+    elif args.export_automaton:
+        automaton = transfer.build_automaton(spec)
+    if args.export_automaton:
         Path(args.export_automaton).write_text(transfer.edge_list_text(automaton))
     return _write(
         args,

@@ -3,8 +3,9 @@
 The forward map sends (m, k) to the dominant root of x^(m+1) - x^m - (k-1);
 inverting it for a target root gives k = lambda^(m+1) - lambda^m + 1, which
 is an admissible alphabet size exactly when that value is an integer of at
-least 2.  Entropy targets are scanned over a parameter grid instead, since
-distinct m can reach the same rate.
+least 2.  Entropy targets are matched over a parameter grid, since distinct
+m can reach the same rate; for each m the same inversion bounds the k whose
+entropy can lie within the tolerance, so only that window is computed.
 """
 
 from __future__ import annotations
@@ -14,9 +15,24 @@ from dataclasses import dataclass
 
 from .core import _require_int
 from .errors import ParameterError
-from .spectral import _require_tol, dominant_root, entropy_tmk
+from .spectral import _log, _require_tol, dominant_root, entropy_tmk
 
 EXACT_DEVIATION = 1e-9
+
+# Relative widening of the root bounds of a design window.  It must exceed
+# the float error, relative to lambda, between a computed entropy and the k
+# whose root it stands for:
+# - dominant_root stops after a Newton step below 1e-12 relative, past which
+#   the error shrinks quadratically;
+# - exp, log and the scaling by ln b err by a few ulps of an exponent of
+#   magnitude |ln lambda| <= 710, under 1e-13 relative in lambda;
+# - q(lambda) errs by a few ulps of lambda^(m+1), at most about
+#   m |ln lambda| 2^-53 <= 709 * 2^-53 relative in q before it overflows,
+#   and since lambda q'(lambda) >= lambda^(m+1) for lambda >= 1, that is a
+#   few 2^-52 relative in lambda.
+# 1e-9 dominates their sum a thousandfold; the further +-1 on the integer
+# bounds covers rounding q to an integer.
+_WINDOW_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,6 +93,46 @@ def _scan(m_range, k_range, log_base: str):
     )
 
 
+def _alphabet_size(lam: float, m: int) -> float:
+    """q(lambda) = lambda^(m+1) - lambda^m + 1, the k whose gap-m root is lambda.
+
+    Strictly increasing for lambda >= 1; raises OverflowError when
+    lambda^(m+1) overflows a float.
+    """
+    return lam ** (m + 1) - lam**m + 1.0
+
+
+def _root_bound(entropy: float, scale: float, factor: float) -> float:
+    """factor * b^entropy for scale = log_b(e): 1.0 when entropy <= 0, inf on overflow."""
+    if entropy <= 0.0:
+        return 1.0
+    try:
+        return math.exp(entropy / scale) * factor
+    except OverflowError:
+        return math.inf
+
+
+def _k_window(m: int, lam_lo: float, lam_hi: float, k_lo: int, k_hi: int) -> range:
+    """The k in [k_lo, k_hi] whose gap-m root can lie in [lam_lo, lam_hi].
+
+    The root is strictly increasing in k, so these are the k between
+    q(lam_lo) and q(lam_hi), each widened by one.
+    """
+    if math.isinf(lam_lo):
+        return range(0)
+    try:
+        start = math.floor(_alphabet_size(lam_lo, m)) - 1
+    except OverflowError:
+        return range(0)  # every k of this m has a root below lam_lo
+    stop = k_hi
+    if math.isfinite(lam_hi):
+        try:
+            stop = min(k_hi, math.ceil(_alphabet_size(lam_hi, m)) + 1)
+        except OverflowError:
+            pass  # q(lam_hi) lies beyond float range, so above k_hi's top
+    return range(max(k_lo, start), stop + 1)
+
+
 def k_for_target_ratio(lambda_target: float, m: int) -> int | None:
     """Alphabet size whose gap-m space grows at lambda_target, or None.
 
@@ -93,7 +149,7 @@ def k_for_target_ratio(lambda_target: float, m: int) -> int | None:
     if not math.isfinite(lambda_target) or lambda_target <= 1.0:
         raise ParameterError(f"lambda_target must be a finite number > 1, got {lambda_target}")
     try:
-        raw = lambda_target ** (m + 1) - lambda_target**m + 1.0
+        raw = _alphabet_size(lambda_target, m)
     except OverflowError:
         raise ParameterError(
             f"lambda_target^(m+1) overflows a float for lambda_target={lambda_target}, m={m}: "
@@ -120,7 +176,13 @@ def design_for_entropy(
 
     Results are sorted by (deviation, m, k); an empty list means no pair on
     the grid comes close enough.  The exact flag marks deviations below
-    1e-9.
+    1e-9.  For each m only the k between q(b^(target - tol)) and
+    q(b^(target + tol)) are computed, where q(lambda) = lambda^(m+1) -
+    lambda^m + 1 inverts the growth rate, with a margin that covers the
+    float error; every pair outside that window has an entropy farther
+    than tol from the target.  A target whose lower bound overflows a
+    float for some m skips that m, and a bound at or below entropy 0
+    starts the window at the bottom of k_range.
     """
     if not isinstance(target_entropy, (int, float)) or isinstance(target_entropy, bool):
         raise ParameterError(f"target_entropy must be a number, got {target_entropy!r}")
@@ -128,20 +190,27 @@ def design_for_entropy(
     if not math.isfinite(target_entropy) or target_entropy <= 0.0:
         raise ParameterError(f"target_entropy must be finite and > 0, got {target_entropy}")
     _require_tol(tol)
+    m_lo, m_hi = _require_range("m_range", m_range, 1)
+    k_lo, k_hi = _require_range("k_range", k_range, 2)
+    scale = _log(math.e, log_base)  # log_b(e) = 1 / ln b; refuses an unknown base
+    lam_lo = _root_bound(target_entropy - tol, scale, 1.0 - _WINDOW_MARGIN)
+    lam_hi = _root_bound(target_entropy + tol, scale, 1.0 + _WINDOW_MARGIN)
     results = []
-    for m, k, report in _scan(m_range, k_range, log_base):
-        deviation = abs(report.entropy - target_entropy)
-        if deviation <= tol:
-            results.append(
-                DesignResult(
-                    m=m,
-                    k=k,
-                    lambda0=report.lambda0,
-                    entropy=report.entropy,
-                    deviation=deviation,
-                    exact=deviation < EXACT_DEVIATION,
+    for m in range(m_lo, m_hi + 1):
+        for k in _k_window(m, lam_lo, lam_hi, k_lo, k_hi):
+            report = entropy_tmk(m, k, log_base=log_base)
+            deviation = abs(report.entropy - target_entropy)
+            if deviation <= tol:
+                results.append(
+                    DesignResult(
+                        m=m,
+                        k=k,
+                        lambda0=report.lambda0,
+                        entropy=report.entropy,
+                        deviation=deviation,
+                        exact=deviation < EXACT_DEVIATION,
+                    )
                 )
-            )
     results.sort(key=lambda r: (r.deviation, r.m, r.k))
     return results
 

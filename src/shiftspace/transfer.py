@@ -38,6 +38,7 @@ from .spectral import EntropyReport, _log, _require_tol
 
 DEFAULT_MAX_STATES = 2**20
 DEFAULT_MAX_ITERATIONS = 10**6
+DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -301,7 +302,7 @@ def dominant_eigenvalue(
 
 def entropy_numeric(
     spec: ShiftSpaceSpec,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     log_base: str = "e",
     *,
     max_states: int = DEFAULT_MAX_STATES,
@@ -309,7 +310,15 @@ def entropy_numeric(
 ) -> EntropyReport:
     """Entropy of any finite-type spec from its trimmed automaton."""
     _require_tol(tol)
-    automaton = trim(build_automaton(spec, max_states=max_states))
+    automaton = build_automaton(spec, max_states=max_states)
+    return _automaton_entropy(automaton, tol, log_base, max_iterations)
+
+
+def _automaton_entropy(
+    automaton: TransferAutomaton, tol: float, log_base: str, max_iterations: int
+) -> EntropyReport:
+    """entropy_numeric from an automaton already built; tol must be checked first."""
+    automaton = trim(automaton)
     if automaton.num_states == 0:
         raise EmptyShiftSpaceError(
             "every state dies under trimming; the shift space is empty and entropy is undefined"

@@ -211,6 +211,42 @@ def test_entropy_export_automaton(capsys, tmp_path):
     assert target.read_text() == "0 0 0\n0 1 1\n1 0 0\n"
 
 
+@pytest.mark.parametrize("method", ["matrix", "both", "poly"])
+def test_entropy_export_builds_the_automaton_once(capsys, tmp_path, monkeypatch, method):
+    _, plain, _ = run_cli(capsys, "entropy", "--tmk", "2,3", "--method", method)
+    builds = []
+    build = transfer.build_automaton
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "build_automaton", counting)
+    target = tmp_path / "edges.txt"
+    code, out, _ = run_cli(
+        capsys, "entropy", "--tmk", "2,3", "--method", method, "--export-automaton", str(target)
+    )
+    assert code == 0
+    assert out == plain
+    assert len(builds) == 1
+    assert target.read_text() == transfer.edge_list_text(build(tmk_spec(TmkParams(2, 3))))
+
+
+def test_entropy_checks_tol_before_building(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the automaton was built")
+
+    monkeypatch.setattr(transfer, "build_automaton", refuse)
+    target = tmp_path / "edges.txt"
+    code, out, err = run_cli(
+        capsys, "entropy", "--tmk", "1,2", "--tol", "-1", "--method", "matrix",
+        "--export-automaton", str(target),
+    )
+    assert (code, out) == (1, "")
+    assert err == "shiftspace: error: tol must be a positive number, got -1.0\n"
+    assert not target.exists()
+
+
 def test_entropy_convergence_failure_exit_code(capsys, monkeypatch):
     def stuck(m, k, log_base="e", tol=1e-12):
         raise ConvergenceError("stuck", last_estimate=1.0, residual=1.0, iterations=5)

@@ -1,10 +1,14 @@
 """Tests for inverting the growth-rate map and scanning entropy grids."""
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shiftspace import (
+    ConvergenceError,
     ParameterError,
     design_for_entropy,
     dominant_root,
@@ -13,6 +17,7 @@ from shiftspace import (
     k_for_target_ratio,
 )
 from shiftspace import design
+from shiftspace.design import EXACT_DEVIATION, DesignResult
 
 
 def test_k_for_target_ratio_frozen():
@@ -198,3 +203,103 @@ def test_design_result_as_dict():
     assert doc["exact"] is True
     row = entropy_table(m_range=(1, 1), k_range=(3, 3))[0]
     assert set(row.as_dict()) == {"m", "k", "lambda0", "entropy"}
+
+
+def reference_design_for_entropy(target, log_base, m_range, k_range, tol):
+    """The full-grid scan design_for_entropy used to run: every pair computed, then filtered."""
+    results = []
+    for m in range(m_range[0], m_range[1] + 1):
+        for k in range(k_range[0], k_range[1] + 1):
+            report = entropy_tmk(m, k, log_base=log_base)
+            deviation = abs(report.entropy - target)
+            if deviation <= tol:
+                results.append(
+                    DesignResult(
+                        m=m,
+                        k=k,
+                        lambda0=report.lambda0,
+                        entropy=report.entropy,
+                        deviation=deviation,
+                        exact=deviation < EXACT_DEVIATION,
+                    )
+                )
+    results.sort(key=lambda r: (r.deviation, r.m, r.k))
+    return results
+
+
+@st.composite
+def design_cases(draw):
+    """(target, log_base, m_range, k_range, tol) on small grids in m <= 200, k <= 10^4 or 10^15.
+
+    Near k = 10^15 a float error of 1e-15 relative in the root moves
+    q(lambda) by about one, so there the window's margin shows.
+    """
+    log_base = draw(st.sampled_from(["e", "2", "10"]))
+    m_lo = draw(st.integers(1, 200))
+    m_range = (m_lo, m_lo + draw(st.integers(0, 3)))
+    k_lo = draw(st.integers(2, 10_000) | st.integers(2, 10**15))
+    k_range = (k_lo, k_lo + draw(st.integers(0, 40)))
+    tol = draw(st.one_of(st.just(math.inf), st.floats(-13, 1).map(lambda e: 10.0**e)))
+    if draw(st.booleans()):
+        target = draw(st.floats(1e-6, 20.0))
+    else:
+        # near a grid pair's entropy, often exactly tol away from it
+        m = draw(st.integers(*m_range))
+        k = draw(st.integers(max(2, k_range[0] - 5), k_range[1] + 5))
+        entropy = entropy_tmk(m, k, log_base=log_base).entropy
+        offset = draw(st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-2.0, 2.0))
+        target = entropy + offset * tol if math.isfinite(tol) else entropy
+        if not target > 0.0:
+            target = entropy
+    return target, log_base, m_range, k_range, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(design_cases())
+@example((math.log(2.0), "e", (1, 4), (2, 60), 1e-9))
+@example((1.0, "2", (1, 4), (2, 60), 1e-9))
+@example((math.log10(2.0), "10", (1, 4), (2, 60), 1e-9))
+@example((math.log(2.0), "e", (1, 6), (2, 20), 1e-9))  # m = 5, 6 need k = 33, 65
+@example((math.log(50.0), "e", (1, 3), (2, 30), 1e-9))  # every window is empty
+@example((5.0, "e", (199, 200), (2, 40), 0.5))  # q(e^4.5) overflows a float
+@example((1.0, "e", (2, 3), (3, 5), 10.0))
+@example((1.0, "e", (1, 3), (2, 30), math.inf))
+@example((1e-3, "e", (1, 2), (2, 9), 1e300))  # b^(target + tol) overflows
+@example((entropy_tmk(3, 10**15).entropy, "e", (3, 3), (10**15 - 20, 10**15 + 20), 1e-13))
+@example((entropy_tmk(40, 10**15, "2").entropy, "2", (40, 40), (10**15 - 9, 10**15 + 9), 1e-15))
+def test_design_window_equals_full_grid(case):
+    target, log_base, m_range, k_range, tol = case
+    expected = reference_design_for_entropy(target, log_base, m_range, k_range, tol)
+    found = design_for_entropy(target, log_base, m_range=m_range, k_range=k_range, tol=tol)
+    assert [r.as_dict() for r in found] == [r.as_dict() for r in expected]
+
+
+def test_design_computes_only_the_window(monkeypatch):
+    calls = Counter()
+
+    def recording(m, k, log_base="e"):
+        calls[m] += 1
+        return entropy_tmk(m, k, log_base=log_base)
+
+    monkeypatch.setattr(design, "entropy_tmk", recording)
+    results = design_for_entropy(math.log(2.0), m_range=(1, 4), k_range=(2, 60))
+    assert [(r.m, r.k) for r in results] == [(1, 3), (2, 5), (3, 9), (4, 17)]
+    assert set(calls) == {1, 2, 3, 4}
+    assert max(calls.values()) <= 5
+
+
+def test_design_skips_pairs_outside_the_window():
+    # dominant_root(100000, 2) raises ConvergenceError, but its entropy,
+    # about 1e-4, is far below the window of a target of 1.0
+    assert design_for_entropy(1.0, m_range=(100000, 100000), k_range=(2, 30)) == []
+    with pytest.raises(ConvergenceError):
+        design_for_entropy(1e-4, m_range=(100000, 100000), k_range=(2, 30), tol=1e-3)
+
+
+def test_design_refuses_an_unknown_base_after_the_ranges(monkeypatch):
+    monkeypatch.setattr(design, "entropy_tmk", None)
+    with pytest.raises(ParameterError, match="k_range"):
+        design_for_entropy(1.0, log_base="3", k_range=(5, 2))
+    # an empty window computes nothing, and the base is still checked
+    with pytest.raises(ParameterError, match=r"^log_base must be one of \['10', '2', 'e'\], got '3'$"):
+        design_for_entropy(100.0, log_base="3")

@@ -475,14 +475,35 @@ def test_evaluate_and_limit_ratio_equal_the_walk(rec, e):
 
 
 def test_walk_power_rule_sides():
-    # walk while e <= 2 d ceil(log2 e)
-    assert recurrence._walks(4, 48) and not recurrence._walks(4, 49)
-    assert recurrence._walks(250, 999) and not recurrence._walks(4, 999)
+    # walk while 9 e (taps + 5) <= 2 d^2 ceil(log2 e)
+    wide = tmk_recurrence(TmkParams(100, 2))  # d = 101, two taps
+    assert recurrence._walks(wide, 3886) and not recurrence._walks(wide, 3887)
+    dense = LinearRecurrence(coefficients=(1,) * 250, initial_terms=(1,) * 250)
+    assert recurrence._walks(dense, 300) and not recurrence._walks(dense, 999)
+
+
+def test_walk_power_rule_counts_nonzero_taps():
+    # timed best of 3: the walk of tmk(1000, 2) to n = 60000 took 80 ms and
+    # powering 516 ms; tmk(300, 2) to 20000 24 ms and 49 ms; tmk(100, 2) to
+    # 20000 25 ms and 10.7 ms
+    assert recurrence._walks(tmk_recurrence(TmkParams(1000, 2)), 60000 - 1)
+    assert recurrence._walks(tmk_recurrence(TmkParams(300, 2)), 20000 - 1)
+    assert not recurrence._walks(tmk_recurrence(TmkParams(100, 2)), 20000 - 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_small_spaced_families_power_near_ten_thousand(m, k):
+    # the shapes the exact-counts benchmark evaluates, where the walk took
+    # 24-26 ms and powering 0.17-0.56 ms at n = 10^4
+    rec = tmk_recurrence(TmkParams(m, k))
+    for n in (1000, 5000, 10**4, 20000):
+        assert not recurrence._walks(rec, n - rec.offset)
 
 
 def test_limit_ratio_zero_division_by_powering():
     rec = LinearRecurrence(coefficients=(0, 1), initial_terms=(1, 0), offset=1)
-    assert not recurrence._walks(rec.order, 1000)
+    assert not recurrence._walks(rec, 1000)
     with pytest.raises(ZeroDivisionError, match=r"ratio at n = 1001 undefined: a\(1000\) is zero"):
         limit_ratio(rec, 1001)
     assert limit_ratio(rec, 1000) == 0.0
