@@ -11,13 +11,11 @@ counting methods.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
+from collections.abc import Sequence
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Optional, Sequence
 
 from . import core, design, enumeration, recurrence, spectral, transfer
 from .errors import (
@@ -135,17 +133,22 @@ def _write(args, lines, header, rows, document: dict, code: int = 0) -> int:
 
     text prints the lines, csv the header and the rows, json the document
     under the command's name.  Big counts arrive as decimal strings, so they
-    stay exact in every format.
+    stay exact in every format.  csv and json are imported only by their own
+    branch, which keeps them out of a text run's start-up.
     """
     if args.format == "text":
         out = "".join(f"{line}\n" for line in lines)
     elif args.format == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_cell(value) for value in row] for row in rows)
         out = buffer.getvalue()
     else:
+        import json
+
         out = json.dumps({"command": args.command, **_json_value(document)}) + "\n"
     sys.stdout.write(out)
     return code
@@ -227,7 +230,7 @@ def _cmd_entropy(args) -> int:
     )
 
 
-def _verify_recurrence_for(args, counts) -> tuple[Optional[recurrence.LinearRecurrence], str]:
+def _verify_recurrence_for(args, counts) -> tuple[recurrence.LinearRecurrence | None, str]:
     if args.tmk is not None:
         return recurrence.tmk_recurrence(args.tmk), "built-in"
     max_order = (len(counts.counts) - 2) // 2
@@ -454,7 +457,7 @@ def _progress_text(exc: ConvergenceError) -> str:
     return f" ({' '.join(fields)})" if fields else ""
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, run one command, and return the exit code."""
     parser = _build_parser()
     try:

@@ -6,14 +6,22 @@ blocks occurs in it as a contiguous factor.  This module holds the value
 types (blocks, forbidden sets, specs, parameters of the built-in spaced
 family), text parsing for blocks and spec files, normalization of forbidden
 sets, and validation.
+
+Every public record of the package (here and in the other modules) is an
+immutable value built on ``_Value``.  Its fields are its ``__slots__``, in
+constructor order, and its ``__init__`` takes them positionally or by
+keyword, sets them, then validates.  Two records are equal when they are
+of the same class and their field tuples are equal, and a record hashes
+as its field tuple.  The repr is ``Name(field=value, ...)``.  Assigning or
+deleting an attribute raises AttributeError, and pickle and copy rebuild a
+record through its constructor.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from .errors import (
     OutOfAlphabetError,
@@ -31,18 +39,83 @@ def _require_int(name: str, value, minimum: int) -> None:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Block:
-    """A finite word of symbols.  The empty block is a valid value."""
+class _Value:
+    """Base of the immutable records; see the module docstring for the contract."""
 
-    symbols: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        symbols = tuple(self.symbols)
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _field_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._field_values()
+
+
+class Block(_Value):
+    """A finite word of symbols.  The empty block is a valid value.
+
+    Blocks order lexicographically by their symbols.
+    """
+
+    __slots__ = ("symbols",)
+
+    def __init__(self, symbols: tuple[int, ...] = ()):
+        symbols = tuple(symbols)
         for s in symbols:
             if not isinstance(s, int) or isinstance(s, bool) or s < 0:
                 raise ParameterError(f"block symbols must be non-negative integers, got {s!r}")
         object.__setattr__(self, "symbols", symbols)
+
+    # the base's __eq__ and __hash__, without building a field tuple: blocks
+    # are compared and hashed in every forbidden set
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash((self.symbols,))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbols < other.symbols
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbols <= other.symbols
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbols > other.symbols
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbols >= other.symbols
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -63,11 +136,10 @@ class Block:
         return any(mine[i : i + m] == target for i in range(len(mine) - m + 1))
 
 
-@dataclass(frozen=True)
-class ForbiddenSet:
+class ForbiddenSet(_Value):
     """A finite set of nonempty forbidden blocks."""
 
-    blocks: frozenset[Block]
+    __slots__ = ("blocks",)
 
     def __init__(self, blocks: Iterable[Block] = ()):
         members = frozenset(blocks)
@@ -90,32 +162,32 @@ class ForbiddenSet:
         return max((len(b) for b in self.blocks), default=0)
 
 
-@dataclass(frozen=True)
-class ShiftSpaceSpec:
+class ShiftSpaceSpec(_Value):
     """Alphabet size together with the forbidden blocks."""
 
-    alphabet_size: int
-    forbidden: ForbiddenSet = ForbiddenSet()
+    __slots__ = ("alphabet_size", "forbidden")
 
-    def __post_init__(self):
-        if not isinstance(self.alphabet_size, int) or isinstance(self.alphabet_size, bool):
+    def __init__(self, alphabet_size: int, forbidden: ForbiddenSet = ForbiddenSet()):
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+        object.__setattr__(self, "forbidden", forbidden)
+        if not isinstance(alphabet_size, int) or isinstance(alphabet_size, bool):
             raise ParameterError("alphabet_size must be an integer")
 
 
-@dataclass(frozen=True)
-class TmkParams:
+class TmkParams(_Value):
     """Parameters of the built-in spaced family.
 
     The family over {0, ..., k-1} requires at least m zeroes between
     consecutive nonzero symbols.
     """
 
-    m: int
-    k: int
+    __slots__ = ("m", "k")
 
-    def __post_init__(self):
-        _require_int("m", self.m, 1)
-        _require_int("k", self.k, 2)
+    def __init__(self, m: int, k: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        _require_int("m", m, 1)
+        _require_int("k", k, 2)
 
 
 def tmk_spec(params: TmkParams) -> ShiftSpaceSpec:

@@ -11,9 +11,8 @@ entropy can lie within the tolerance, so only that window is computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import _require_int
+from .core import _require_int, _Value
 from .errors import ParameterError
 from .spectral import _log, _require_tol, dominant_root, entropy_tmk
 
@@ -35,16 +34,20 @@ EXACT_DEVIATION = 1e-9
 _WINDOW_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class DesignResult:
+class DesignResult(_Value):
     """One admissible parameter pair for an entropy target."""
 
-    m: int
-    k: int
-    lambda0: float
-    entropy: float
-    deviation: float
-    exact: bool
+    __slots__ = ("m", "k", "lambda0", "entropy", "deviation", "exact")
+
+    def __init__(
+        self, m: int, k: int, lambda0: float, entropy: float, deviation: float, exact: bool
+    ):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lambda0", lambda0)
+        object.__setattr__(self, "entropy", entropy)
+        object.__setattr__(self, "deviation", deviation)
+        object.__setattr__(self, "exact", exact)
 
     def as_dict(self) -> dict:
         return {
@@ -57,14 +60,16 @@ class DesignResult:
         }
 
 
-@dataclass(frozen=True)
-class EntropyTableRow:
+class EntropyTableRow(_Value):
     """Growth rate and entropy of one parameter pair."""
 
-    m: int
-    k: int
-    lambda0: float
-    entropy: float
+    __slots__ = ("m", "k", "lambda0", "entropy")
+
+    def __init__(self, m: int, k: int, lambda0: float, entropy: float):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lambda0", lambda0)
+        object.__setattr__(self, "entropy", entropy)
 
     def as_dict(self) -> dict:
         return {"m": self.m, "k": self.k, "lambda0": self.lambda0, "entropy": self.entropy}

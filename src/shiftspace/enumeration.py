@@ -14,25 +14,23 @@ beyond what enumeration could materialize.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator
 
-from .core import Block, ShiftSpaceSpec, TmkParams, _require_int, tmk_spec, validate_spec
+from .core import Block, ShiftSpaceSpec, TmkParams, _require_int, _Value, tmk_spec, validate_spec
 from .errors import OutOfAlphabetError, ParameterError, ResourceLimitError
 
 DEFAULT_MAX_CANDIDATES = 2**24
 
 
-@dataclass(frozen=True)
-class CountSequence:
+class CountSequence(_Value):
     """Counts of allowed blocks for consecutive lengths starting at n_min."""
 
-    counts: tuple[int, ...]
-    n_min: int = 1
+    __slots__ = ("counts", "n_min")
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(self.counts))
+    def __init__(self, counts: tuple[int, ...], n_min: int = 1):
+        object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "n_min", n_min)
 
     @property
     def n_max(self) -> int:

@@ -12,30 +12,29 @@ cumulative-sum recurrence of the three-symbol space with 11 and 22 forbidden.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import islice
 from math import gcd
-from typing import Iterator, Optional
 
-from .core import TmkParams, _require_int
+from .core import TmkParams, _require_int, _Value
 from .enumeration import CountSequence
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
+class LinearRecurrence(_Value):
     """a(n) = sum of coefficients[j-1] * a(n-j), seeded by initial_terms.
 
     initial_terms hold a(offset) .. a(offset + order - 1).
     """
 
-    coefficients: tuple[int, ...]
-    initial_terms: tuple[int, ...]
-    offset: int = 1
+    __slots__ = ("coefficients", "initial_terms", "offset")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        object.__setattr__(self, "initial_terms", tuple(self.initial_terms))
+    def __init__(
+        self, coefficients: tuple[int, ...], initial_terms: tuple[int, ...], offset: int = 1
+    ):
+        object.__setattr__(self, "coefficients", tuple(coefficients))
+        object.__setattr__(self, "initial_terms", tuple(initial_terms))
+        object.__setattr__(self, "offset", offset)
         if len(self.coefficients) < 1:
             raise ParameterError("a recurrence needs at least one coefficient")
         if len(self.initial_terms) != len(self.coefficients):
@@ -51,15 +50,27 @@ class LinearRecurrence:
         return len(self.coefficients)
 
 
-@dataclass(frozen=True)
-class RecurrenceCheck:
-    """Outcome of comparing a recurrence against computed counts."""
+class RecurrenceCheck(_Value):
+    """Outcome of comparing a recurrence against computed counts.
 
-    status: str  # "match", "mismatch", or "inconclusive"
-    terms_checked: int
-    first_mismatch: Optional[int] = None
-    expected: Optional[int] = None
-    actual: Optional[int] = None
+    status is "match", "mismatch", or "inconclusive".
+    """
+
+    __slots__ = ("status", "terms_checked", "first_mismatch", "expected", "actual")
+
+    def __init__(
+        self,
+        status: str,
+        terms_checked: int,
+        first_mismatch: int | None = None,
+        expected: int | None = None,
+        actual: int | None = None,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "terms_checked", terms_checked)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
 
 
 def tmk_recurrence(params: TmkParams) -> LinearRecurrence:
@@ -213,7 +224,7 @@ def _berlekamp_massey(terms: tuple[int, ...], max_length: int) -> tuple[list[int
     return connection, length
 
 
-def infer_recurrence(counts: CountSequence, max_order: int) -> Optional[LinearRecurrence]:
+def infer_recurrence(counts: CountSequence, max_order: int) -> LinearRecurrence | None:
     """Least-order integer recurrence reproducing every given count, or None.
 
     One Berlekamp-Massey pass finds the shortest rational recurrence, which

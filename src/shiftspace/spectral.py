@@ -10,9 +10,8 @@ is cross-checked against the quadratic closed form (1 + sqrt(4k-3)) / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import _require_int
+from .core import _require_int, _Value
 from .errors import ConvergenceError, ParameterError
 
 _LOG_FUNCTIONS = {"e": math.log, "2": math.log2, "10": math.log10}
@@ -35,16 +34,27 @@ def _require_tol(tol) -> None:
         raise ParameterError(f"tol must be a positive number, got {tol!r}")
 
 
-@dataclass(frozen=True)
-class CharacteristicPolynomial:
+def _float_k(k: int) -> float:
+    """k as a float; ParameterError when it lies beyond float range."""
+    try:
+        return float(k)
+    except OverflowError:
+        raise ParameterError(
+            f"k lies beyond float range (k >= 2^{k.bit_length() - 1}), "
+            "so its growth rate cannot be computed in floats"
+        ) from None
+
+
+class CharacteristicPolynomial(_Value):
     """p(x) = x^(m+1) - x^m - (k-1) for the spaced family."""
 
-    m: int
-    k: int
+    __slots__ = ("m", "k")
 
-    def __post_init__(self):
-        _require_int("m", self.m, 1)
-        _require_int("k", self.k, 2)
+    def __init__(self, m: int, k: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        _require_int("m", m, 1)
+        _require_int("k", k, 2)
 
     def value(self, x: float) -> float:
         return x ** (self.m + 1) - x**self.m - (self.k - 1)
@@ -53,15 +63,17 @@ class CharacteristicPolynomial:
         return (self.m + 1) * x**self.m - self.m * x ** (self.m - 1)
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(_Value):
     """A growth rate with its logarithm and provenance of the computation."""
 
-    lambda0: float
-    entropy: float
-    log_base: str
-    method: str
-    residual: float
+    __slots__ = ("lambda0", "entropy", "log_base", "method", "residual")
+
+    def __init__(self, lambda0: float, entropy: float, log_base: str, method: str, residual: float):
+        object.__setattr__(self, "lambda0", lambda0)
+        object.__setattr__(self, "entropy", entropy)
+        object.__setattr__(self, "log_base", log_base)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "residual", residual)
 
     def as_dict(self) -> dict:
         return {
@@ -76,7 +88,7 @@ class EntropyReport:
 def closed_form_root_m1(k: int) -> float:
     """Root of x^2 - x - (k-1) in (1, k], available only for m = 1."""
     _require_int("k", k, 2)
-    return (1.0 + math.sqrt(4.0 * k - 3.0)) / 2.0
+    return (1.0 + math.sqrt(4.0 * _float_k(k) - 3.0)) / 2.0
 
 
 def dominant_root(m: int, k: int, tol: float = 1e-12) -> float:
@@ -87,13 +99,16 @@ def dominant_root(m: int, k: int, tol: float = 1e-12) -> float:
     iteration converges monotonically.  A point where x^(m+1) overflows a
     float counts as lying above the root; ConvergenceError is raised when
     Newton would have to start at one.  For m = 1 the result is
-    cross-checked against the closed form.
+    cross-checked against the closed form.  ParameterError is raised when
+    k itself lies beyond float range.
     """
     poly = CharacteristicPolynomial(m, k)
     _require_tol(tol)
-    lo, hi = 1.0, float(k)
+    lo, hi = 1.0, _float_k(k)
     while hi - lo > _BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: a root above about 4.5e12 has no finer bracket
         try:
             if poly.value(mid) <= 0.0:
                 lo = mid

@@ -21,12 +21,11 @@ one step costs the number of edges, not states^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import islice
 from operator import mul, truediv
-from typing import Iterator
 
-from .core import Block, ShiftSpaceSpec, _require_int, validate_spec
+from .core import Block, ShiftSpaceSpec, _require_int, _Value, validate_spec
 from .enumeration import _suffix_clear, _suffix_table, count_blocks, enumerate_blocks
 from .errors import (
     ConvergenceError,
@@ -41,30 +40,41 @@ DEFAULT_MAX_ITERATIONS = 10**6
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AdjacencyMatrix:
+class AdjacencyMatrix(_Value):
     """Integer edge-count matrix of an automaton, indexed like its states."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
 
     @property
     def size(self) -> int:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class TransferAutomaton:
+class TransferAutomaton(_Value):
     """The block automaton of a spec.
 
     states are the allowed (window)-blocks in lexicographic order; edges
     are (source index, target index, symbol) triples.
     """
 
-    spec: ShiftSpaceSpec
-    window: int
-    states: tuple[Block, ...]
-    edges: tuple[tuple[int, int, int], ...]
-    trimmed: bool = False
+    __slots__ = ("spec", "window", "states", "edges", "trimmed")
+
+    def __init__(
+        self,
+        spec: ShiftSpaceSpec,
+        window: int,
+        states: tuple[Block, ...],
+        edges: tuple[tuple[int, int, int], ...],
+        trimmed: bool = False,
+    ):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "trimmed", trimmed)
 
     @property
     def num_states(self) -> int:

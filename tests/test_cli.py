@@ -313,6 +313,34 @@ def test_float_overflow_ends_without_traceback(capsys, no_tmk_spec, argv, expect
     assert "Traceback" not in err
 
 
+BEYOND_FLOAT = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--tmk", f"1,{BEYOND_FLOAT}"],
+        ["entropy", "--tmk", f"2,{BEYOND_FLOAT}", "--format", "json"],
+        ["table", "--k-range", f"{BEYOND_FLOAT}..{BEYOND_FLOAT}"],
+    ],
+)
+def test_k_beyond_float_range_exits_one_with_a_message(capsys, no_tmk_spec, argv):
+    # in process, so an escaping OverflowError fails the test
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "shiftspace: error: k lies beyond float range (k >= 2^1328), "
+        "so its growth rate cannot be computed in floats\n"
+    )
+
+
+def test_entropy_of_k_with_a_root_past_the_bisection_width_ends(capsys, no_tmk_spec):
+    code, out, _ = run_cli(capsys, "entropy", "--tmk", f"1,{10**26}")
+    assert code == 0
+    assert out.startswith("lambda0=10000000000000.5 ")
+
+
 def test_verify_text(capsys):
     code, out, _ = run_cli(capsys, "verify", "--tmk", "1,2", "--n-max", "6")
     assert code == 0
@@ -675,6 +703,54 @@ def test_module_entry_point_error_code():
         capture_output=True,
     )
     assert result.returncode == 1
+
+
+# Runs every command in one format in a fresh interpreter and prints the
+# modules the import and the runs added to sys.modules.
+_STARTUP_PROBE = """
+import io, sys
+before = set(sys.modules)
+from shiftspace import cli
+fmt, spec = sys.argv[1:]
+commands = [
+    ["count", "--tmk", "1,2", "--n", "4"],
+    ["count", "--spec", spec, "--n", "4"],
+    ["enumerate", "--tmk", "1,2", "--n", "3"],
+    ["enumerate", "--tmk", "1,2", "--n", "3", "--order", "constructive"],
+    ["sequence", "--three-symbol", "--n-max", "5"],
+    ["entropy", "--tmk", "1,3", "--method", "both"],
+    ["entropy", "--spec", spec],
+    ["verify", "--tmk", "1,2", "--n-max", "6"],
+    ["verify", "--spec", spec, "--n-max", "8"],
+    ["design", "--target-entropy", "0.6931471805599453"],
+    ["design", "--target-ratio", "2", "--m", "1"],
+    ["table", "--m-range", "1..2", "--k-range", "2..4"],
+]
+sys.stdout = io.StringIO()
+codes = [cli.run(argv + ["--format", fmt]) for argv in commands]
+sys.stdout = sys.__stdout__
+print(codes)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_startup_imports_only_what_the_format_needs(tmp_path, fmt):
+    spec = tmp_path / "golden.txt"
+    spec.write_text("k=2\n11\n")
+    result = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, fmt, str(spec)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    codes, added = result.stdout.splitlines()
+    assert codes == str([0] * 12)
+    added = set(added.split())
+    assert "shiftspace.cli" in added
+    assert not {"dataclasses", "inspect", "typing"} & added
+    assert ("json" in added) == (fmt == "json")
+    assert ("csv" in added) == (fmt == "csv")
 
 
 @pytest.mark.skipif(

@@ -40,8 +40,8 @@ def test_block_ordering_is_lexicographic():
 
 
 def test_block_round_trips_through_pickle_and_deepcopy():
-    # a frozen dataclass with slots pickles through the state methods the
-    # dataclass decorator adds, not through an instance dict
+    # a slotted block has no instance dict; pickle and copy rebuild it
+    # through its constructor
     block = Block((0, 2, 1))
     assert not hasattr(block, "__dict__")
     for clone in (pickle.loads(pickle.dumps(block)), copy.deepcopy(block)):

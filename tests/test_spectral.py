@@ -10,6 +10,7 @@ from shiftspace import (
     ParameterError,
     closed_form_root_m1,
     dominant_root,
+    entropy_table,
     entropy_tmk,
 )
 
@@ -65,6 +66,37 @@ def test_dominant_root_overflow_at_newton_start_is_a_convergence_error():
     with pytest.raises(ConvergenceError) as info:
         dominant_root(10**6, 2)
     assert info.value.last_estimate == 1.0 + 2.0**-10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: dominant_root(1, k),
+        lambda k: dominant_root(2, k),
+        lambda k: entropy_tmk(1, k),
+        lambda k: entropy_tmk(2, k, log_base="2"),
+        lambda k: entropy_table(m_range=(1, 2), k_range=(k, k)),
+        lambda k: closed_form_root_m1(k),
+    ],
+)
+@pytest.mark.parametrize("k, bits", [(10**400, 1328), (2**1024, 1024)])
+def test_k_beyond_float_range_is_a_parameter_error(call, k, bits):
+    with pytest.raises(ParameterError) as info:
+        call(k)
+    assert str(info.value) == (
+        f"k lies beyond float range (k >= 2^{bits}), so its growth rate cannot be computed in floats"
+    )
+
+
+@pytest.mark.parametrize("m, k", [(1, 10**26), (1, 10**100), (2, 10**40), (5, 2**1023)])
+def test_dominant_root_ends_when_the_bracket_reaches_adjacent_floats(m, k):
+    # above about 4.5e12 two adjacent floats lie more than 1e-3 apart, so
+    # the bisection stops there instead of at its bracket width
+    root = dominant_root(m, k)
+    if m == 1:
+        assert root == pytest.approx(closed_form_root_m1(k), rel=1e-12)
+    log_form = m * math.log(root) + math.log(root - 1.0) - math.log(k - 1)
+    assert abs(log_form) < 1e-12
 
 
 def test_dominant_root_validation():
