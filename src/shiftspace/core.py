@@ -4,8 +4,8 @@ A shift space over the alphabet {0, ..., k-1} is described by a finite set
 of forbidden blocks.  A block is allowed exactly when none of the forbidden
 blocks occurs in it as a contiguous factor.  This module holds the value
 types (blocks, forbidden sets, specs, parameters of the built-in spaced
-family), text parsing for blocks and spec files, normalization of forbidden
-sets, and validation.
+family, count sequences), text parsing for blocks and spec files,
+normalization of forbidden sets, and validation.
 
 Every public record of the package (here and in the other modules) is an
 immutable value built on ``_Value``.  Its fields are its ``__slots__``, in
@@ -188,6 +188,33 @@ class TmkParams(_Value):
         object.__setattr__(self, "k", k)
         _require_int("m", m, 1)
         _require_int("k", k, 2)
+
+
+class CountSequence(_Value):
+    """Counts of allowed blocks for consecutive lengths starting at n_min."""
+
+    __slots__ = ("counts", "n_min")
+
+    def __init__(self, counts: tuple[int, ...], n_min: int = 1):
+        object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "n_min", n_min)
+
+    @property
+    def n_max(self) -> int:
+        return self.n_min + len(self.counts) - 1
+
+    def value_at(self, n: int) -> int:
+        if not self.n_min <= n <= self.n_max:
+            raise ParameterError(
+                f"length {n} outside the computed range {self.n_min}..{self.n_max}"
+            )
+        return self.counts[n - self.n_min]
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.counts)
 
 
 def tmk_spec(params: TmkParams) -> ShiftSpaceSpec:

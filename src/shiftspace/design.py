@@ -117,18 +117,23 @@ def _root_bound(entropy: float, scale: float, factor: float) -> float:
         return math.inf
 
 
-def _k_window(m: int, lam_lo: float, lam_hi: float, k_lo: int, k_hi: int) -> range:
+def _k_window(m: int, lam_lo: float, lam_hi: float, k_lo: int, k_hi: int) -> range | None:
     """The k in [k_lo, k_hi] whose gap-m root can lie in [lam_lo, lam_hi].
 
     The root is strictly increasing in k, so these are the k between
-    q(lam_lo) and q(lam_hi), each widened by one.
+    q(lam_lo) and q(lam_hi), each widened by one.  None when the window
+    starts above k_hi; since q(lambda, m+1) - q(lambda, m) =
+    lambda^m (lambda - 1)^2 >= 0, it then starts above k_hi for every
+    larger m too.
     """
     if math.isinf(lam_lo):
-        return range(0)
+        return None
     try:
         start = math.floor(_alphabet_size(lam_lo, m)) - 1
     except OverflowError:
-        return range(0)  # every k of this m has a root below lam_lo
+        return None  # every k of this m has a root below lam_lo
+    if start > k_hi:
+        return None
     stop = k_hi
     if math.isfinite(lam_hi):
         try:
@@ -185,9 +190,10 @@ def design_for_entropy(
     q(b^(target + tol)) are computed, where q(lambda) = lambda^(m+1) -
     lambda^m + 1 inverts the growth rate, with a margin that covers the
     float error; every pair outside that window has an entropy farther
-    than tol from the target.  A target whose lower bound overflows a
-    float for some m skips that m, and a bound at or below entropy 0
-    starts the window at the bottom of k_range.
+    than tol from the target.  The windows only rise with m, so the scan
+    stops at the first m whose window starts above k_range, or whose lower
+    bound overflows a float; a bound at or below entropy 0 starts the
+    window at the bottom of k_range.
     """
     if not isinstance(target_entropy, (int, float)) or isinstance(target_entropy, bool):
         raise ParameterError(f"target_entropy must be a number, got {target_entropy!r}")
@@ -202,7 +208,10 @@ def design_for_entropy(
     lam_hi = _root_bound(target_entropy + tol, scale, 1.0 + _WINDOW_MARGIN)
     results = []
     for m in range(m_lo, m_hi + 1):
-        for k in _k_window(m, lam_lo, lam_hi, k_lo, k_hi):
+        window = _k_window(m, lam_lo, lam_hi, k_lo, k_hi)
+        if window is None:
+            break  # this m and every larger one start above k_hi
+        for k in window:
             report = entropy_tmk(m, k, log_base=log_base)
             deviation = abs(report.entropy - target_entropy)
             if deviation <= tol:

@@ -5,8 +5,10 @@ a(n) = a(n-1) + (k-1) * a(n-m-1) with a(n) = 1 + n(k-1) for n <= m+1.
 This module evaluates such recurrences exactly, at large n by powering x
 modulo the characteristic polynomial, checks them against
 independently computed counts, infers a least-order integer recurrence
-from raw counts by one exact Berlekamp-Massey pass, and carries the
-cumulative-sum recurrence of the three-symbol space with 11 and 22 forbidden.
+from raw counts by one exact Berlekamp-Massey pass, proves the minimal
+recurrence of counts known to obey one of bounded order by a pass modulo
+a prime, and carries the cumulative-sum recurrence of the three-symbol
+space with 11 and 22 forbidden.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ from collections import deque
 from collections.abc import Iterator
 from itertools import islice
 from math import gcd
+from operator import mul
 
-from .core import TmkParams, _require_int, _Value
-from .enumeration import CountSequence
+from .core import CountSequence, TmkParams, _require_int, _Value
 from .errors import ParameterError
+
+# a Mersenne prime; residues below it keep every product within two words
+_MODULUS = 2**61 - 1
 
 
 class LinearRecurrence(_Value):
@@ -222,6 +227,83 @@ def _berlekamp_massey(terms: tuple[int, ...], max_length: int) -> tuple[list[int
                 break
         gap += 1
     return connection, length
+
+
+def _berlekamp_massey_mod(terms: tuple[int, ...], modulus: int) -> tuple[list[int], int]:
+    """Shortest linear recurrence of terms modulo a prime (Massey 1969).
+
+    Returns (connection, length) as _berlekamp_massey does, with
+    connection[0] = 1 and every entry reduced modulo the prime.  Residues of
+    a word or two keep each product cheap where the integer pass carries
+    ever longer numerators.
+    """
+    backwards = [t % modulus for t in reversed(terms)]
+    last = len(terms) - 1
+    connection = [1]
+    previous = [1]
+    inverse = 1  # 1 / the discrepancy at the last length change
+    length = 0
+    gap = 1
+    for n in range(len(terms)):
+        # connection[j] meets a(n - j)
+        window = backwards[last - n : last - n + len(connection)]
+        discrepancy = sum(map(mul, connection, window)) % modulus
+        if discrepancy:
+            scale = discrepancy * inverse % modulus
+            updated = connection + [0] * (len(previous) + gap - len(connection))
+            updated[gap : gap + len(previous)] = [
+                (u - scale * b) % modulus for u, b in zip(updated[gap:], previous)
+            ]
+            if 2 * length <= n:
+                previous, inverse = connection, pow(discrepancy, -1, modulus)
+                length, gap = n + 1 - length, 0
+            connection = updated
+        gap += 1
+    return connection, length
+
+
+def _proven_recurrence(terms: tuple[int, ...]) -> LinearRecurrence | None:
+    """The minimal recurrence of a(0), a(1), ... proven on the given terms, or None.
+
+    terms are the first 2s + 2 values of a sequence known to satisfy some
+    recurrence of order at most s from n = 0 on.  One Berlekamp-Massey pass
+    modulo 2^61 - 1 gives a length L <= s, and its coefficients, lifted to
+    the symmetric range, are kept only when they reproduce every term
+    exactly.  That check is the proof: the sequence minus the recurrence's
+    right-hand side obeys the order-s recurrence too and vanishes on the
+    2s + 2 - L > s consecutive indices L..2s+1, so it vanishes for ever.
+    None means no proof: the pass ran past length s, a true coefficient
+    lies outside (-2^60, 2^60), or the prime divided a discrepancy.
+
+    j trailing zero coefficients are a root 0 of multiplicity j, which only
+    delays the shorter recurrence, so it is returned with offset j.  A
+    sequence that is 0 from L on has no such recurrence; callers rule it
+    out by a nonzero last term.
+    """
+    connection, length = _berlekamp_massey_mod(terms, _MODULUS)
+    if not 0 < length <= (len(terms) - 2) // 2:
+        return None
+    connection += [0] * (length + 1 - len(connection))
+    half = _MODULUS // 2
+    lifted = [-c % _MODULUS for c in connection[1 : length + 1]]
+    coefficients = [c - _MODULUS if c > half else c for c in lifted]
+    while coefficients and not coefficients[-1]:
+        coefficients.pop()
+    if not coefficients:
+        return None
+    order = len(coefficients)
+    backwards = terms[::-1]
+    last = len(terms) - 1
+    # a(n) against coefficients[j-1] * a(n-j), j = 1..order, for n = L..2s+1
+    if any(
+        terms[n] != sum(map(mul, coefficients, backwards[last - n + 1 : last - n + 1 + order]))
+        for n in range(length, len(terms))
+    ):
+        return None
+    offset = length - order
+    return LinearRecurrence(
+        coefficients=tuple(coefficients), initial_terms=terms[offset:length], offset=offset
+    )
 
 
 def infer_recurrence(counts: CountSequence, max_order: int) -> LinearRecurrence | None:

@@ -886,7 +886,10 @@ def fuzz_spec_dir(tmp_path_factory):
     return directory
 
 
-def test_fuzzed_argv_ends_in_an_exit_code(fuzz_spec_dir):
+def test_fuzzed_argv_ends_in_an_exit_code(fuzz_spec_dir, monkeypatch):
+    # a junk --export-automaton value writes its file beside the specs
+    monkeypatch.chdir(fuzz_spec_dir)
+
     @settings(max_examples=400, deadline=None)
     @given(_argv(str(fuzz_spec_dir)))
     def check(argv):

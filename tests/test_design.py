@@ -288,6 +288,28 @@ def test_design_computes_only_the_window(monkeypatch):
     assert max(calls.values()) <= 5
 
 
+def test_design_stops_once_the_window_passes_k_range(monkeypatch):
+    calls = Counter()
+
+    def recording(m, k, log_base="e"):
+        calls[m] += 1
+        return entropy_tmk(m, k, log_base=log_base)
+
+    windows = []
+    k_window = design._k_window
+
+    def recording_window(m, *bounds):
+        windows.append(m)
+        return k_window(m, *bounds)
+
+    monkeypatch.setattr(design, "entropy_tmk", recording)
+    monkeypatch.setattr(design, "_k_window", recording_window)
+    # e^1 puts every window from m = 3 on above k = 30
+    assert design_for_entropy(1.0, m_range=(1, 10**6), k_range=(2, 30)) == []
+    assert set(calls) <= {1, 2} and sum(calls.values()) <= 10
+    assert windows == [1, 2, 3]
+
+
 def test_design_skips_pairs_outside_the_window():
     # dominant_root(100000, 2) raises ConvergenceError, but its entropy,
     # about 1e-4, is far below the window of a target of 1.0

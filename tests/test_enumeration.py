@@ -1,7 +1,8 @@
-from itertools import product
+import random
+from itertools import islice, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_blocks, spec_from_tuples
@@ -13,15 +14,38 @@ from shiftspace import (
     ResourceLimitError,
     ShiftSpaceSpec,
     TmkParams,
+    build_automaton,
     count_blocks,
     count_sequence,
+    count_via_matrix,
     enumerate_blocks,
     enumerate_blocks_constructive,
     is_allowed,
     tmk_spec,
 )
+from shiftspace import enumeration
+from shiftspace.enumeration import _successor_lists, _walks
 
 FULL_SHIFT_2 = ShiftSpaceSpec(2)
+REDUCIBLE_K3 = spec_from_tuples(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
+
+
+def reference_count(spec, n):
+    """The counter walked to length n one step at a time, without its recurrence."""
+    out = _successor_lists(spec)
+    weights = [1] * len(out)
+    for _ in range(n):
+        weights = [sum(weights[t] for t in targets) for targets in out]
+    return weights[0]
+
+
+def first_recurrence_length(spec):
+    """The least n at which count_blocks leaves the walk for the recurrence."""
+    out = _successor_lists(spec)
+    n = 2 * len(out) + 2
+    while _walks(out, n):
+        n += 1
+    return n
 
 
 def blocks_to_tuples(blocks):
@@ -295,3 +319,89 @@ def test_count_sequence_type_roundtrip():
     assert len(seq) == 3
     assert seq.value_at(2) == 3
     assert list(seq) == [2, 3, 5]
+
+
+@st.composite
+def _specs_around_the_rule(draw):
+    """A spec over 1 to 4 symbols and a length within reach of the walk rule."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    word = st.lists(st.integers(min_value=0, max_value=k - 1), min_size=1, max_size=4)
+    spec = spec_from_tuples(k, map(tuple, draw(st.lists(word, max_size=7))))
+    switch = first_recurrence_length(spec)
+    n = draw(
+        st.integers(min_value=0, max_value=switch - 1)
+        | st.integers(min_value=switch, max_value=switch + 200)
+    )
+    return spec, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_specs_around_the_rule())
+# the empty shift, at once and after two lengths (nilpotent counters)
+@example(case=(spec_from_tuples(2, [(0,), (1,)]), 40))
+@example(case=(spec_from_tuples(2, [(0, 0), (1, 1), (0, 1, 0), (1, 0, 1)]), 40))
+# a root 0: a(n) = 3a(n-1) - 2a(n-2) holds from n = 3 on, offset 1
+@example(case=(REDUCIBLE_K3, 60))
+@example(case=(FULL_SHIFT_2, 0))
+def test_count_blocks_matches_the_walk(case):
+    spec, n = case
+    assert count_blocks(spec, n) == reference_count(spec, n)
+
+
+def test_count_blocks_never_walks_past_the_proof(monkeypatch, golden_spec):
+    count_iter = enumeration._count_iter
+
+    def bounded(out):
+        # the proof reads 2s + 2 counts, s the counter's state count
+        yield from islice(count_iter(out), 2 * len(out) + 2)
+        raise AssertionError("walked past the proof terms")
+
+    monkeypatch.setattr(enumeration, "_count_iter", bounded)
+    p = 2**61 - 1
+    a, b = 1, 2  # golden mean counts a(0), a(1)
+    for _ in range(10**5 - 1):
+        a, b = b, (a + b) % p
+    assert count_blocks(golden_spec, 10**5) % p == b
+    # blocks over {1, 2} and 0^n
+    assert count_blocks(REDUCIBLE_K3, 10**5) == 2**100000 + 1
+
+
+def test_count_blocks_walks_when_the_proof_fails(monkeypatch, golden_spec):
+    monkeypatch.setattr(enumeration, "_proven_recurrence", lambda terms: None)
+    assert not _walks(_successor_lists(golden_spec), 300)
+    assert count_blocks(golden_spec, 300) == reference_count(golden_spec, 300)
+
+
+def _forty_words_of_length_14():
+    rng = random.Random(13)
+    words = [tuple(rng.randrange(2) for _ in range(14)) for _ in range(40)]
+    return spec_from_tuples(2, words)
+
+
+def test_walk_rule_sides():
+    # timed against the walk: the recurrence costs more below these
+    # lengths, the walk more above them
+    assert first_recurrence_length(tmk_spec(TmkParams(3, 5))) == 144
+    assert first_recurrence_length(tmk_spec(TmkParams(1, 2))) == 142
+    assert first_recurrence_length(REDUCIBLE_K3) == 92
+    # exact-counts shapes: tmk(1, 2) at n = 300 and 1^12 at n = 200 take
+    # the recurrence, random k = 4 specs near n = 50 walk
+    assert not _walks(_successor_lists(tmk_spec(TmkParams(1, 2))), 300)
+    assert not _walks(_successor_lists(spec_from_tuples(2, [(1,) * 12])), 200)
+    assert _walks(_successor_lists(spec_from_tuples(4, [(0, 3), (2, 1), (2, 1, 3), (2, 3)])), 57)
+    # the walk took 0.15 s at n = 800 and 0.63 s at n = 3000; the order
+    # bound s = 348 overstates the true order 237, so the rule walks both
+    big = _successor_lists(_forty_words_of_length_14())
+    assert len(big) == 348
+    assert _walks(big, 800) and _walks(big, 3000)
+
+
+@pytest.mark.parametrize(
+    "spec", [tmk_spec(TmkParams(5, 20)), REDUCIBLE_K3], ids=["tmk-5-20", "reducible-k3"]
+)
+@pytest.mark.parametrize("n", [1000, 1237, 2000])
+def test_count_blocks_matches_path_counts(spec, n):
+    # the path counts on the block automaton share no code with the counter
+    # or with recurrence.evaluate
+    assert not _walks(_successor_lists(spec), n)
+    assert count_blocks(spec, n) == count_via_matrix(build_automaton(spec), n)

@@ -27,7 +27,14 @@ from shiftspace import (
 )
 from shiftspace import recurrence
 from shiftspace.core import _require_int
-from shiftspace.recurrence import _term_iter, evaluate, limit_ratio
+from shiftspace.recurrence import (
+    _berlekamp_massey,
+    _berlekamp_massey_mod,
+    _proven_recurrence,
+    _term_iter,
+    evaluate,
+    limit_ratio,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -542,3 +549,40 @@ def test_large_index_never_walks(monkeypatch):
     monkeypatch.setattr(recurrence, "_term_iter", refuse)
     assert evaluate(rec, 10**5) % p == window[-1]
     assert limit_ratio(rec, 10**5) == pytest.approx(dominant_root(3, 2), rel=1e-15)
+
+
+@settings(max_examples=400, deadline=None)
+@given(terms=st.one_of(_spec_counts(), _perturbed_recurrence_terms()))
+def test_modular_pass_is_the_rational_pass_modulo_the_prime(terms):
+    p = 2**61 - 1
+    connection, length = _berlekamp_massey(tuple(terms), len(terms))
+    residues, modular_length = _berlekamp_massey_mod(tuple(terms), p)
+    assert modular_length == length
+    scaled = [c * pow(connection[0], -1, p) % p for c in connection]
+    width = max(len(scaled), len(residues))
+    assert scaled + [0] * (width - len(scaled)) == residues + [0] * (width - len(residues))
+
+
+def test_proven_recurrence_lifts_negative_coefficients():
+    terms = [1, 1]
+    while len(terms) < 6:
+        terms.append(3 * terms[-1] - 5 * terms[-2])
+    assert _proven_recurrence(tuple(terms)) == LinearRecurrence(
+        coefficients=(3, -5), initial_terms=(1, 1), offset=0
+    )
+
+
+def test_proven_recurrence_moves_a_zero_tail_into_the_offset():
+    # a(n) = 2 a(n-1) + 0 a(n-2) from n = 2: a root 0 of multiplicity one
+    assert _proven_recurrence((5, 2, 4, 8, 16, 32)) == LinearRecurrence(
+        coefficients=(2,), initial_terms=(2,), offset=1
+    )
+
+
+def test_proven_recurrence_refuses_what_it_cannot_prove():
+    # 2^61 is 1 modulo 2^61 - 1, so the lifted coefficient 1 fails the check
+    assert _proven_recurrence(tuple(2 ** (61 * n) for n in range(4))) is None
+    # zero from n = 2 on: no recurrence with a nonzero trailing coefficient
+    assert _proven_recurrence((1, 2, 0, 0)) is None
+    # order 3 needs 8 terms
+    assert _proven_recurrence((1, 0, 0, 1, 1, 1)) is None
