@@ -13,10 +13,15 @@ from __future__ import annotations
 import math
 
 from .core import _require_int, _Value
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .spectral import _log, _require_tol, dominant_root, entropy_tmk
 
 EXACT_DEVIATION = 1e-9
+
+# The most pairs a design scan computes, one entropy_tmk call of tens of
+# microseconds each, so a scan ends within seconds; the windows are summed
+# before the first call.
+MAX_CANDIDATES = 2**16
 
 # Relative widening of the root bounds of a design window.  It must exceed
 # the float error, relative to lambda, between a computed entropy and the k
@@ -193,7 +198,9 @@ def design_for_entropy(
     than tol from the target.  The windows only rise with m, so the scan
     stops at the first m whose window starts above k_range, or whose lower
     bound overflows a float; a bound at or below entropy 0 starts the
-    window at the bottom of k_range.
+    window at the bottom of k_range.  Every window is found before any
+    entropy is computed, and ResourceLimitError refuses a scan whose
+    windows hold more than MAX_CANDIDATES pairs.
     """
     if not isinstance(target_entropy, (int, float)) or isinstance(target_entropy, bool):
         raise ParameterError(f"target_entropy must be a number, got {target_entropy!r}")
@@ -206,11 +213,21 @@ def design_for_entropy(
     scale = _log(math.e, log_base)  # log_b(e) = 1 / ln b; refuses an unknown base
     lam_lo = _root_bound(target_entropy - tol, scale, 1.0 - _WINDOW_MARGIN)
     lam_hi = _root_bound(target_entropy + tol, scale, 1.0 + _WINDOW_MARGIN)
-    results = []
+    windows = []
+    candidates = 0
     for m in range(m_lo, m_hi + 1):
         window = _k_window(m, lam_lo, lam_hi, k_lo, k_hi)
         if window is None:
             break  # this m and every larger one start above k_hi
+        candidates += len(window)
+        if candidates > MAX_CANDIDATES:
+            raise ResourceLimitError(
+                f"the design windows hold more than {MAX_CANDIDATES} (m, k) pairs "
+                "within reach of the target; narrow k_range, m_range or tol"
+            )
+        windows.append((m, window))
+    results = []
+    for m, window in windows:
         for k in window:
             report = entropy_tmk(m, k, log_base=log_base)
             deviation = abs(report.entropy - target_entropy)

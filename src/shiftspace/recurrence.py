@@ -101,15 +101,18 @@ def _term_iter(rec: LinearRecurrence) -> Iterator[int]:
         yield window[-1]
 
 
-def _reduce(product: list[int], coefficients: tuple[int, ...]) -> list[int]:
+def _taps(coefficients: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The nonzero coefficients cj of a recurrence as (j, cj) pairs."""
+    return [(j, c) for j, c in enumerate(coefficients, start=1) if c]
+
+
+def _reduce(product: list[int], order: int, taps: list[tuple[int, int]]) -> list[int]:
     """product modulo x^d - c1 x^(d-1) - ... - cd, coefficients from x^0 up.
 
     Each top coefficient t of x^i becomes t * cj on x^(i-j), from the top
-    down; zero coefficients are skipped, so a sparse recurrence reduces in
-    O(d) per power of x.
+    down, for the (j, cj) in taps, which holds only the nonzero
+    coefficients, so a sparse recurrence reduces in O(d) per power of x.
     """
-    order = len(coefficients)
-    taps = [(j, c) for j, c in enumerate(coefficients, start=1) if c]
     for top in range(len(product) - 1, order - 1, -1):
         lead = product[top]
         if lead:
@@ -128,7 +131,8 @@ def _power_mod(coefficients: tuple[int, ...], e: int) -> list[int]:
     the characteristic polynomial annihilates it, so a(offset + e) is the
     dot product of the result with the initial terms.
     """
-    residue = [1] + [0] * (len(coefficients) - 1)
+    order, taps = len(coefficients), _taps(coefficients)
+    residue = [1] + [0] * (order - 1)
     for bit in bin(e)[2:]:
         square = [0] * (2 * len(residue) - 1)
         for i, a in enumerate(residue):
@@ -138,9 +142,9 @@ def _power_mod(coefficients: tuple[int, ...], e: int) -> list[int]:
                 twice = 2 * a
                 for j, b in enumerate(residue[i + 1 :], start=2 * i + 1):
                     square[j] += twice * b
-        residue = _reduce(square, coefficients)
+        residue = _reduce(square, order, taps)
         if bit == "1":
-            residue = _reduce([0] + residue, coefficients)
+            residue = _reduce([0] + residue, order, taps)
     return residue
 
 
@@ -362,7 +366,8 @@ def limit_ratio(rec: LinearRecurrence, n: int) -> float:
     else:
         residue = _power_mod(rec.coefficients, e - 1)
         previous = _dot(residue, rec.initial_terms)
-        current = _dot(_reduce([0] + residue, rec.coefficients), rec.initial_terms)
+        shifted = _reduce([0] + residue, rec.order, _taps(rec.coefficients))
+        current = _dot(shifted, rec.initial_terms)
     if previous == 0:
         raise ZeroDivisionError(f"ratio at n = {n} undefined: a({n - 1}) is zero")
     return current / previous

@@ -3,30 +3,41 @@
 States are the allowed blocks of length L-1, where L is at least 2 and at
 least the longest forbidden block; an edge labeled s joins u to v when u
 extended by s is allowed and v is that extension with the first symbol
-dropped.  Allowed blocks of length n >= L-1 correspond one to one to paths
-of length n-L+1, so counts come from iterating the adjacency matrix over
-the integers.  The iteration runs on the quotient of the automaton by its
-coarsest equitable partition, found by refining classes by their
-successors' classes (Paige and Tarjan 1987): every state of a class has
-the same number of edges into each class, so the number of paths of a
-given length from a state depends only on its class, and each count is a
-sum of class size times class weight, exact and with no float step.  Like
-an amalgamation (Lind and Marcus 1995, section 2.4), the quotient keeps
-every path count; the 2^11 states of the automaton of 1^12 fall into 12
-classes.  Entropy comes from the dominant eigenvalue of the trimmed
-automaton, computed by power iteration with a Collatz-Wielandt enclosure
-that reads the same out-lists as the path counts, one entry per edge, so
-one step costs the number of edges, not states^2.
+dropped.  The build grows the allowed blocks one symbol at a time as base-k
+integer codes: a block is allowed exactly when its prefix and its suffix one
+shorter are and it is not itself forbidden.  It shares no code with
+enumeration's depth-first search or its counter, so the three counting
+methods stay independent checks of each other.
+
+Allowed blocks of length n >= L-1 correspond one to one to paths of length
+n-L+1, so counts come from iterating the adjacency matrix over the
+integers.  The iteration runs on the quotient of the automaton by its
+coarsest equitable partition: every state of a class has the same number of
+edges into each class, so the number of paths of a given length from a
+state depends only on its class, and each count is a sum of class size
+times class weight, exact and with no float step.  Like an amalgamation
+(Lind and Marcus 1995, section 2.4), the quotient keeps every path count;
+the 2^11 states of the automaton of 1^12 fall into 12 classes.  The
+partition is refined one round per count, and a round re-signs only the
+predecessors of the states whose class changed in the round before, since
+no other state's successor classes can have changed (Cardon and Crochemore
+1982; Paige and Tarjan 1987).  Once a round splits nothing, the remaining
+steps either walk the quotient or power its class edge-count matrix by
+squaring, whichever the operation counts say is cheaper.  Entropy comes
+from the dominant eigenvalue of the trimmed automaton, computed by power
+iteration with a Collatz-Wielandt enclosure that reads the same out-lists
+as the path counts, one entry per edge, so one step costs the number of
+edges, not states^2.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import islice
+from itertools import chain, product
 from operator import mul, truediv
 
 from .core import Block, ShiftSpaceSpec, _require_int, _Value, validate_spec
-from .enumeration import _suffix_clear, _suffix_table, count_blocks, enumerate_blocks
+from .enumeration import count_blocks
 from .errors import (
     ConvergenceError,
     EmptyShiftSpaceError,
@@ -113,18 +124,71 @@ def build_automaton(
                 f"the automaton would need {allowed} states (the allowed blocks of "
                 f"length {window}), over the cap of {max_states}"
             )
-    states = tuple(enumerate_blocks(spec, window, max_candidates=k**window))
-    index = {state.symbols: i for i, state in enumerate(states)}
-    table = _suffix_table(spec)
-    edges: list[tuple[int, int, int]] = []
-    for i, state in enumerate(states):
-        for s in range(k):
-            grown = state.symbols + (s,)
-            if _suffix_clear(grown, table):
-                edges.append((i, index[grown[1:]], s))
+    banned: dict[int, set[int]] = {}
+    for block in spec.forbidden:
+        banned.setdefault(len(block), set()).add(_code(block.symbols, k))
+    # a block's code has its first symbol least significant, so appending s
+    # to a block of length j adds s k^j and dropping the first symbol is
+    # division by k; an extension of an allowed block is allowed exactly
+    # when its suffix is in the layer before and it is not forbidden.  Each
+    # layer extends the one before in order, so its codes are listed in
+    # lexicographic order of their blocks.
+    codes = [0]
+    for length in range(1, window + 1):
+        shorter = set(codes)
+        shifts = [s * k ** (length - 1) for s in range(k)]
+        codes = [g for code in codes for shift in shifts if (g := code + shift) // k in shorter]
+        if length in banned:
+            codes = [g for g in codes if g not in banned[length]]
+    index = {code: i for i, code in enumerate(codes)}
+    shifts = [s * k**window for s in range(k)]
+    banned_edges = banned.get(window + 1, set())
+    edges = [
+        (i, target, s)
+        for i, code in enumerate(codes)
+        for s, shift in enumerate(shifts)
+        if (target := index.get((g := code + shift) // k)) is not None and g not in banned_edges
+    ]
     return TransferAutomaton(
-        spec=spec, window=window, states=states, edges=tuple(edges), trimmed=False
+        spec=spec,
+        window=window,
+        states=tuple(map(Block, _digits(codes, k, window))),
+        edges=tuple(edges),
+        trimmed=False,
     )
+
+
+def _code(symbols: tuple[int, ...], k: int) -> int:
+    """The base-k code of a block, first symbol least significant."""
+    code = 0
+    for s in reversed(symbols):
+        code = code * k + s
+    return code
+
+
+def _digits(codes: list[int], k: int, width: int) -> list[tuple[int, ...]]:
+    """The blocks of length width that the codes stand for.
+
+    A table holds the blocks of every code below k^h, for the largest h
+    with k^h at most the number of codes, or h = 1, so a code costs one
+    lookup per h symbols and the table costs no more than the blocks, or
+    than the k edges a state is tried for.
+    """
+    h = 1
+    while h < width and k ** (h + 1) <= len(codes):
+        h += 1
+    table = [t[::-1] for t in product(range(k), repeat=h)]
+    if h == width:
+        return list(map(table.__getitem__, codes))
+    chunk, pad = k**h, (0,) * width
+    blocks = []
+    for code in codes:
+        parts = []
+        while code:
+            code, low = divmod(code, chunk)
+            parts.append(table[low])
+        blocks.append((*chain.from_iterable(parts), *pad)[:width])
+    return blocks
 
 
 def trim(automaton: TransferAutomaton) -> TransferAutomaton:
@@ -185,8 +249,10 @@ def count_via_matrix(automaton: TransferAutomaton, n: int) -> int:
 
     The paths are counted on the quotient of the automaton by its coarsest
     equitable partition, which is refined one round per step until it is
-    stable; the count is exact, since the path counts from a state depend
-    only on its class.  Lengths below the window fall back to the dynamic
+    stable; the remaining steps then walk the quotient or power its
+    edge-count matrix, whichever _squares finds cheaper.  The count is
+    exact, since the path counts from a state depend only on its class.
+    Lengths below the window fall back to the dynamic
     program; the automaton must be untrimmed, because trimming drops
     finite blocks that do not extend forever.
     """
@@ -195,62 +261,143 @@ def count_via_matrix(automaton: TransferAutomaton, n: int) -> int:
         raise ParameterError("block counting needs the untrimmed automaton")
     if n < automaton.window:
         return count_blocks(automaton.spec, n)
-    return next(islice(_path_counts(automaton), n - automaton.window, None))
+    steps = n - automaton.window
+    partition = _Partition(automaton.out_lists())
+    weights = [1] * len(partition.rows)
+    for taken in range(steps):
+        if not partition.refine():
+            return _stable_count(partition.sizes, partition.rows, weights, steps - taken)
+        weights = _step(partition.rows, weights)
+    return sum(map(mul, partition.sizes, weights))
 
 
-def _refine(
-    classes: list[int], out: list[list[int]]
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """One round of partition refinement by successor classes.
+class _Partition:
+    """Classes of an automaton's states, refined toward the coarsest equitable partition.
 
-    A state's signature is its class followed by its successors' classes,
-    sorted; states share a new class exactly when they share a signature.
-    Returns the new class of every state and the signatures, one per new
-    class.  Classes are numbered by first appearance in state order, so a
-    round that splits nothing returns the numbering it was given.
+    classes[u] is the class of state u and sizes[c] the number of states in
+    class c.  rows[c] lists, sorted, the classes before the last round of
+    the successors of any state of c: after j rounds the number of paths of
+    length j from a state depends only on its class, and rows is the
+    quotient step from the weights of length j - 1 to those of length j.
+
+    A round splits every class by its states' successor classes, as a full
+    round of refinement would, but the first round alone signs every
+    state; a later one signs only the predecessors of the states that moved
+    to a new class in the round before (Cardon and Crochemore 1982), since
+    every other state has the successor classes it had then.  So the
+    unsigned states of a class stay together under their old row, which no
+    signed state shares: a signed state has a successor in a class newer
+    than every class in that row.  The unsigned states keep the class
+    number and each part of signed states takes a new number at the end;
+    when every state of a class was signed, its largest part keeps the
+    number, so the first round moves as few states as it can.
     """
-    signatures: dict[tuple[int, ...], int] = {}
-    number = signatures.setdefault
-    current = classes.__getitem__
-    refined = [
-        number((own, *sorted(map(current, targets))), len(signatures))
-        for own, targets in zip(classes, out)
-    ]
-    return refined, list(signatures)
+
+    def __init__(self, out: list[list[int]]):
+        self.out = out
+        self.classes = [0] * len(out)
+        self.sizes = [len(out)] if out else []
+        self.rows: list[tuple[int, ...]] = [()] * len(self.sizes)
+        self.moved: list[int] | None = None
+        self.predecessors: list[list[int]] = [[] for _ in out]
+        for u, targets in enumerate(out):
+            for v in targets:
+                self.predecessors[v].append(u)
+
+    def refine(self) -> bool:
+        """Runs one round; returns whether a class split."""
+        out, classes, sizes, rows = self.out, self.classes, self.sizes, self.rows
+        if self.moved is None:
+            signed = range(len(out))
+        else:
+            signed = {u for v in self.moved for u in self.predecessors[v]}
+        current = classes.__getitem__
+        splits: dict[int, dict[tuple[int, ...], list[int]]] = {}
+        for u in signed:
+            row = tuple(sorted(map(current, out[u])))
+            splits.setdefault(current(u), {}).setdefault(row, []).append(u)
+        moved: list[int] = []
+        for c, parts in splits.items():
+            if sum(map(len, parts.values())) == sizes[c]:
+                rows[c] = max(parts, key=lambda row: len(parts[row]))
+                del parts[rows[c]]
+            for row, states in parts.items():
+                new = len(rows)
+                for u in states:
+                    classes[u] = new
+                sizes[c] -= len(states)
+                sizes.append(len(states))
+                rows.append(row)
+                moved.extend(states)
+        self.moved = moved
+        return bool(moved)
+
+
+def _step(rows: list[tuple[int, ...]], weights: list[int]) -> list[int]:
+    """One step of the quotient walk: each class sums its successors' weights."""
+    weight = weights.__getitem__
+    return [sum(map(weight, row)) for row in rows]
+
+
+def _squares(rows: list[tuple[int, ...]], steps: int) -> bool:
+    """Whether powering a stable quotient is cheaper than walking it steps times.
+
+    A walk step adds each class's successor weights, about quotient edges
+    + c operations for c classes; squaring costs about c^3 products per
+    bit of steps, counting a product like an addition.
+    """
+    c = len(rows)
+    return c**3 * steps.bit_length() < steps * (sum(map(len, rows)) + c)
+
+
+def _stable_count(
+    sizes: list[int], rows: list[tuple[int, ...]], weights: list[int], steps: int
+) -> int:
+    """sizes . R^steps weights, for R the class edge-count matrix of a stable quotient.
+
+    R is powered by squaring, from the lowest bit of steps up, when
+    _squares says so, and walked otherwise; both routes are exact.
+    """
+    if _squares(rows, steps):
+        c = len(rows)
+        matrix = [[0] * c for _ in rows]
+        for line, row in zip(matrix, rows):
+            for b in row:
+                line[b] += 1
+        while steps:
+            if steps & 1:
+                weights = [sum(map(mul, line, weights)) for line in matrix]
+            steps >>= 1
+            if steps:
+                columns = list(zip(*matrix))
+                matrix = [[sum(map(mul, line, column)) for column in columns] for line in matrix]
+    else:
+        for _ in range(steps):
+            weights = _step(rows, weights)
+    return sum(map(mul, sizes, weights))
 
 
 def _path_counts(automaton: TransferAutomaton) -> Iterator[int]:
     """Yields the number of allowed blocks of length window, window+1, ...
 
     w_j[u], the number of paths of length j from state u, counts the
-    allowed blocks of length window + j that start with u.  After j rounds
-    of _refine from a single class, w_j is constant on each class: w_0 = 1,
-    and w_j[u] sums w_(j-1) over u's successors, which the signature lists
-    by class.  So each count is the sum over classes of size times weight,
-    with the weights indexed by class.  Refinement runs one round per
-    count and stops for good after a round that splits nothing; the
-    partition is then the coarsest equitable one (every state of a class
-    has the same number of edges into each class), and the walk goes on
-    over its quotient, whose edges are the last signatures.
+    allowed blocks of length window + j that start with u; after j rounds
+    of refinement from a single class it is constant on each class, and
+    w_j sums w_(j-1) over the classes that the quotient rows list.  So each
+    count is the sum over classes of size times weight.  Refinement runs
+    one round per count and stops for good after a round that splits
+    nothing; the partition is then the coarsest equitable one (every state
+    of a class has the same number of edges into each class), and the walk
+    goes on over its quotient.
     """
-    out = automaton.out_lists()
-    classes = [0] * len(out)
-    sizes = [len(out)] if out else []
-    weights = [1] * len(sizes)
+    partition = _Partition(automaton.out_lists())
+    weights = [1] * len(partition.rows)
     refining = True
     while True:
-        yield sum(map(mul, sizes, weights))
+        yield sum(map(mul, partition.sizes, weights))
         if refining:
-            classes, signatures = _refine(classes, out)
-            # the targets name the classes that weights is indexed by
-            quotient = [signature[1:] for signature in signatures]
-            refining = len(signatures) > len(sizes)
-            if refining:
-                sizes = [0] * len(signatures)
-                for c in classes:
-                    sizes[c] += 1
-        weight = weights.__getitem__
-        weights = [sum(map(weight, targets)) for targets in quotient]
+            refining = partition.refine()
+        weights = _step(partition.rows, weights)
 
 
 def _power_iteration(

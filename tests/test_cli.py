@@ -7,6 +7,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -553,6 +554,19 @@ def test_design_entropy_rejects_nonpositive(capsys):
     code, _, err = run_cli(capsys, "design", "--target-entropy", "0")
     assert code == 1
     assert "error" in err
+
+
+def test_design_refuses_a_window_over_the_cap(capsys):
+    # the window of entropy 20 near k = 2.35e17 holds about 1.9e9 k
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "design", "--target-entropy", "20", "--m-range", "1..1",
+        "--k-range", "2..1000000000000000000",
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert out == ""
+    assert "pairs" in err and "Traceback" not in err
 
 
 def test_design_mutually_exclusive_targets(capsys):

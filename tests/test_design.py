@@ -1,6 +1,7 @@
 """Tests for inverting the growth-rate map and scanning entropy grids."""
 
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from shiftspace import (
     ConvergenceError,
     ParameterError,
+    ResourceLimitError,
     design_for_entropy,
     dominant_root,
     entropy_table,
@@ -325,3 +327,29 @@ def test_design_refuses_an_unknown_base_after_the_ranges(monkeypatch):
     # an empty window computes nothing, and the base is still checked
     with pytest.raises(ParameterError, match=r"^log_base must be one of \['10', '2', 'e'\], got '3'$"):
         design_for_entropy(100.0, log_base="3")
+
+
+def test_design_refuses_windows_over_the_cap_before_computing(monkeypatch):
+    calls = Counter()
+
+    def recording(m, k, log_base="e"):
+        calls[m] += 1
+        return entropy_tmk(m, k, log_base=log_base)
+
+    monkeypatch.setattr(design, "entropy_tmk", recording)
+    # tol = inf puts every pair of the grid in its window: 3 m times 29 k
+    monkeypatch.setattr(design, "MAX_CANDIDATES", 86)
+    with pytest.raises(ResourceLimitError, match="more than 86"):
+        design_for_entropy(1.0, m_range=(1, 3), k_range=(2, 30), tol=math.inf)
+    assert not calls
+    monkeypatch.setattr(design, "MAX_CANDIDATES", 87)
+    assert len(design_for_entropy(1.0, m_range=(1, 3), k_range=(2, 30), tol=math.inf)) == 87
+    assert sum(calls.values()) == 87
+
+
+def test_design_refuses_a_huge_window_at_once():
+    # near k = 2.35e17 the window of entropy 20 +- 1e-9 holds about 1.9e9 k
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        design_for_entropy(20.0, m_range=(1, 1), k_range=(2, 10**18))
+    assert time.perf_counter() - start < 0.5

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from itertools import islice
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,8 @@ from shiftspace import (
     trim,
 )
 from shiftspace import transfer
-from shiftspace.transfer import TransferAutomaton, _path_counts, _refine
+from shiftspace.enumeration import _suffix_clear, _suffix_table, enumerate_blocks
+from shiftspace.transfer import TransferAutomaton, _Partition, _path_counts
 
 from conftest import spec_from_tuples
 
@@ -70,6 +72,40 @@ def test_build_full_shift_automaton():
     automaton = build_automaton(FULL_SHIFT_2)
     assert automaton.window == 1
     assert automaton.adjacency_matrix().rows == ((1, 1), (1, 1))
+
+
+def reference_build(spec):
+    """The build build_automaton used to run: enumeration's depth-first
+    search for the states and its suffix check for the edges."""
+    k = spec.alphabet_size
+    window = max(2, spec.forbidden.max_length) - 1
+    states = tuple(enumerate_blocks(spec, window, max_candidates=k**window))
+    index = {state.symbols: i for i, state in enumerate(states)}
+    table = _suffix_table(spec)
+    edges = []
+    for i, state in enumerate(states):
+        for s in range(k):
+            grown = state.symbols + (s,)
+            if _suffix_clear(grown, table):
+                edges.append((i, index[grown[1:]], s))
+    return TransferAutomaton(spec=spec, window=window, states=states, edges=tuple(edges))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        spec_from_tuples(1, []),
+        spec_from_tuples(1, [(0, 0, 0)]),
+        spec_from_tuples(1, [(0,)]),
+        spec_from_tuples(2, [(0,), (1, 1)]),  # empty
+        spec_from_tuples(2, [(0, 1), (1,) * 30]),  # long windows, few states
+        spec_from_tuples(3, [(0, 0, 0, 0, 0, 0, 0, 1)]),  # codes over several table chunks
+        tmk_spec(TmkParams(5, 20)),
+        spec_from_tuples(2, [(1,) * 12]),
+    ],
+)
+def test_build_equals_reference_build_examples(spec):
+    assert build_automaton(spec) == reference_build(spec)
 
 
 def test_build_state_cap(golden_spec):
@@ -236,8 +272,8 @@ def first_counts(counts, n=40):
 
 @st.composite
 def random_specs(draw):
-    """Specs of a few random words over 2 or 3 symbols; some shifts are empty."""
-    k = draw(st.integers(2, 3))
+    """Specs of a few random words over 1 to 3 symbols; some shifts are empty."""
+    k = draw(st.integers(1, 3))
     word = st.lists(st.integers(0, k - 1), min_size=1, max_size=5).map(tuple)
     return spec_from_tuples(k, draw(st.lists(word, min_size=0, max_size=6)))
 
@@ -261,11 +297,90 @@ def test_path_counts_equal_dense_walk_on_synthetic_automata(automaton):
     assert first_counts(_path_counts(automaton)) == first_counts(reference_path_counts(automaton))
 
 
+@settings(max_examples=300, deadline=None)
+@given(random_specs())
+def test_build_equals_reference_build(spec):
+    # the same states, edges and edge order as the depth-first build
+    assert build_automaton(spec) == reference_build(spec)
+
+
+def reference_refine(classes, out):
+    """The full round _path_counts used to run: every state signed every round.
+
+    A state's signature is its class followed by its successors' classes,
+    sorted; states share a new class exactly when they share a signature.
+    Returns the new class of every state and the signatures, one per new
+    class.  Classes are numbered by first appearance in state order, so a
+    round that splits nothing returns the numbering it was given.
+    """
+    signatures = {}
+    number = signatures.setdefault
+    current = classes.__getitem__
+    refined = [
+        number((own, *sorted(map(current, targets))), len(signatures))
+        for own, targets in zip(classes, out)
+    ]
+    return refined, list(signatures)
+
+
+def first_appearance(classes):
+    """Class numbers renamed in order of first appearance, which names a partition."""
+    names = {}
+    return [names.setdefault(c, len(names)) for c in classes]
+
+
+def dense_count(automaton, n):
+    return next(islice(reference_path_counts(automaton), n - automaton.window, None))
+
+
+def counts_by_route(automaton, n):
+    """count_via_matrix at n by its own rule, then forced to walk and to square."""
+    counts = [count_via_matrix(automaton, n)]
+    for squares in (False, True):
+        with patch.object(transfer, "_squares", lambda rows, steps: squares):
+            counts.append(count_via_matrix(automaton, n))
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(untrimmed_automata(), st.integers(0, 2000))
+@example(synthetic_automaton(0, []), 2000)
+@example(synthetic_automaton(4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)]), 1999)  # nilpotent
+@example(synthetic_automaton(2, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]), 2000)  # multigraph
+def test_count_via_matrix_equals_dense_walk_on_both_routes(automaton, steps):
+    n = automaton.window + steps
+    assert counts_by_route(automaton, n) == [dense_count(automaton, n)] * 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_specs(), st.integers(0, 400))
+def test_count_via_matrix_equals_dense_walk_on_spec_automata(spec, steps):
+    automaton = build_automaton(spec)
+    n = automaton.window + steps
+    assert counts_by_route(automaton, n) == [dense_count(automaton, n)] * 3
+
+
+def test_squaring_rule_weighs_operation_counts():
+    # 4 classes and 6 quotient edges: 4^3 products per bit against 10 additions per step
+    rows = [(0, 1), (2,), (3,), (0, 0)]
+    assert not transfer._squares(rows, 20)  # 64 * 5 = 320 >= 200
+    assert transfer._squares(rows, 40)  # 64 * 6 = 384 < 400
+    assert not transfer._squares(rows, 0)
+    # the spaced family squares at the lengths the benchmark counts; 1^12 walks
+    tmk = _Partition(build_automaton(tmk_spec(TmkParams(3, 5))).out_lists())
+    word = _Partition(build_automaton(spec_from_tuples(2, [(1,) * 12])).out_lists())
+    for partition in (tmk, word):
+        while partition.refine():
+            pass
+    assert transfer._squares(tmk.rows, 290)
+    assert not transfer._squares(word.rows, 190)
+
+
 def coarsest_partition(out):
     """Classes after refining until a round splits nothing, and the rounds taken."""
     classes, rounds = [0] * len(out), 0
     while True:
-        refined, _signatures = _refine(classes, out)
+        refined, _signatures = reference_refine(classes, out)
         rounds += 1
         if len(set(refined)) == len(set(classes)):
             return refined, rounds
@@ -291,15 +406,57 @@ def test_quotient_of_word_automaton_is_equitable():
         assert profiles.setdefault(classes[u], profile) == profile
 
 
+def partitions_agree(automaton):
+    """Runs _Partition and full rounds side by side until both are stable.
+
+    After every round the two group the states alike, and a split-driven
+    round splits exactly when a full one does; every class's size and row
+    match its states.
+    """
+    out = automaton.out_lists()
+    partition = _Partition(out)
+    classes = [0] * len(out)
+    while True:
+        before = list(partition.classes)
+        split = partition.refine()
+        classes, signatures = reference_refine(classes, out)
+        assert first_appearance(partition.classes) == classes
+        assert split == (len(signatures) > len(set(before)))
+        assert partition.sizes == list(map(partition.classes.count, range(len(partition.rows))))
+        # a class's row names its states' successors by their classes before the round
+        for u, targets in enumerate(out):
+            row = tuple(sorted(before[v] for v in targets))
+            assert partition.rows[partition.classes[u]] == row
+        if not split:
+            return
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_specs())
+def test_partition_groups_like_full_rounds_on_spec_automata(spec):
+    partitions_agree(build_automaton(spec))
+
+
+@settings(max_examples=500, deadline=None)
+@given(untrimmed_automata())
+@example(synthetic_automaton(0, []))
+@example(synthetic_automaton(3, []))
+@example(synthetic_automaton(4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)]))  # nilpotent
+@example(synthetic_automaton(3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (2, 2, 0)]))
+def test_partition_groups_like_full_rounds_on_synthetic_automata(automaton):
+    partitions_agree(automaton)
+
+
 def counting_refine(monkeypatch):
-    """Patch _refine to record each round it runs."""
+    """Patch _Partition.refine to record each round it runs."""
     rounds = []
+    refine = _Partition.refine
 
-    def wrapper(classes, out):
-        rounds.append(len(classes))
-        return _refine(classes, out)
+    def wrapper(partition):
+        rounds.append(len(partition.rows))
+        return refine(partition)
 
-    monkeypatch.setattr(transfer, "_refine", wrapper)
+    monkeypatch.setattr(_Partition, "refine", wrapper)
     return rounds
 
 
@@ -321,6 +478,12 @@ def test_refinement_runs_at_most_one_round_per_count(spec, monkeypatch):
         next(counts)
         # one round before each count after the first, none once a round split nothing
         assert len(rounds) == min(yielded - 1, stable_after) <= yielded
+    # a single count at window + j runs the same rounds, whether it then
+    # walks the stable quotient or squares it
+    for j in range(41):
+        rounds.clear()
+        count_via_matrix(automaton, automaton.window + j)
+        assert len(rounds) == min(j, stable_after)
 
 
 def test_short_walk_pays_for_two_rounds(monkeypatch):
