@@ -15,6 +15,11 @@ of the same class and their field tuples are equal, and a record hashes
 as its field tuple.  The repr is ``Name(field=value, ...)``.  Assigning or
 deleting an attribute raises AttributeError, and pickle and copy rebuild a
 record through its constructor.
+
+``Block._of(symbols)`` builds a block without the constructor's symbol
+check.  Only code whose symbols are a tuple of non-negative ints by
+construction calls it: enumeration's output, the automaton's window
+states, ``tmk_spec`` and ``parse_block`` after its digit check.
 """
 
 from __future__ import annotations
@@ -87,6 +92,13 @@ class Block(_Value):
                 raise ParameterError(f"block symbols must be non-negative integers, got {s!r}")
         object.__setattr__(self, "symbols", symbols)
 
+    @classmethod
+    def _of(cls, symbols: tuple[int, ...]) -> "Block":
+        """The block of a tuple of non-negative ints, without checking them."""
+        block = object.__new__(cls)
+        _set_symbols(block, symbols)
+        return block
+
     # the base's __eq__ and __hash__, without building a field tuple: blocks
     # are compared and hashed in every forbidden set
     def __eq__(self, other):
@@ -134,6 +146,9 @@ class Block(_Value):
         mine = self.symbols
         target = factor.symbols
         return any(mine[i : i + m] == target for i in range(len(mine) - m + 1))
+
+
+_set_symbols = Block.symbols.__set__
 
 
 class ForbiddenSet(_Value):
@@ -225,7 +240,7 @@ def tmk_spec(params: TmkParams) -> ShiftSpaceSpec:
     """
     m, k = params.m, params.k
     blocks = [
-        Block((a,) + (0,) * j + (b,))
+        Block._of((a,) + (0,) * j + (b,))
         for a in range(1, k)
         for b in range(1, k)
         for j in range(m)
@@ -262,12 +277,13 @@ def parse_block(text: str, alphabet_size: int) -> Block:
             raise ParseError(
                 f"comma-separated blocks are only accepted for alphabets larger than 10: {text!r}"
             )
-        if not text.isdigit():
+        # isdecimal, not isdigit: int() refuses digits such as superscripts
+        if not text.isdecimal():
             raise ParseError(f"block text must be a digit string: {text!r}")
         symbols = tuple(int(ch) for ch in text)
     else:
         tokens = [tok.strip() for tok in text.split(",")]
-        if any(not tok.isdigit() for tok in tokens):
+        if any(not tok.isdecimal() for tok in tokens):
             raise ParseError(f"block text must be comma-separated decimal integers: {text!r}")
         symbols = tuple(int(tok) for tok in tokens)
     for s in symbols:
@@ -275,7 +291,7 @@ def parse_block(text: str, alphabet_size: int) -> Block:
             raise OutOfAlphabetError(
                 f"symbol {s} does not fit in alphabet of size {alphabet_size}"
             )
-    return Block(symbols)
+    return Block._of(symbols)
 
 
 def block_text(block: Block, alphabet_size: int) -> str:
@@ -292,6 +308,9 @@ def block_text(block: Block, alphabet_size: int) -> str:
 
 def validate_spec(spec: ShiftSpaceSpec) -> ShiftSpaceSpec:
     """Return the spec unchanged, or raise ValidationError with every violation."""
+    k = spec.alphabet_size
+    if k >= 1 and max((max(b.symbols) for b in spec.forbidden), default=0) < k:
+        return spec
     violations: list[str] = []
     if spec.alphabet_size < 1:
         violations.append(f"alphabet size must be at least 1, got {spec.alphabet_size}")

@@ -1,7 +1,13 @@
 """Counting and enumerating allowed blocks.
 
-Enumeration is a depth-first search in lexicographic order that prunes a
-prefix as soon as a forbidden block appears at its end.  Counting walks the
+Enumeration is a depth-first search in lexicographic order over allowed
+prefixes.  Whether a symbol may follow an allowed prefix depends only on
+the prefix's last w = L - 1 symbols, L the longest forbidden length, so
+each such tail finds its allowed extensions once per call; a prefix of
+length n - 1 takes all of its extensions at once.  The search keeps one
+path of prefixes and their siblings, and it imports nothing from the
+transfer module and does not use the counter below, so it stays an
+independent oracle for both.  Counting walks the
 Aho-Corasick automaton of the forbidden set (Aho & Corasick 1975).  Its
 states are the prefixes of forbidden blocks, at most the total forbidden
 length plus one, and a block is allowed exactly when reading it from the
@@ -82,28 +88,32 @@ def enumerate_blocks(
             "use count_blocks for counts at this length"
         )
     if n == 0:
-        return [Block(())]
+        return [Block._of(())]
     table = _suffix_table(spec)
+    # whether s may follow an allowed prefix depends only on its last
+    # w = L - 1 symbols, L the longest forbidden length, so each such tail
+    # finds its extensions (as 1-tuples) once; shorter prefixes find theirs
+    # directly, so tails holds at most the allowed blocks of length w
+    w = max(table, default=1) - 1
+    singles = [(s,) for s in range(k)]
+    tails: dict[tuple[int, ...], list[tuple[int]]] = {}
+    of = Block._of
     out: list[Block] = []
-    prefix: list[int] = []
-    pending: list[int] = [0]
-    while pending:
-        s = pending[-1]
-        if s == k:
-            pending.pop()
-            if prefix:
-                prefix.pop()
-            continue
-        pending[-1] += 1
-        prefix.append(s)
-        if _suffix_clear(prefix, table):
-            if len(prefix) == n:
-                out.append(Block(tuple(prefix)))
-                prefix.pop()
-            else:
-                pending.append(0)
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        t = len(prefix)
+        if t < w:
+            grow = [e for e in singles if _suffix_clear(prefix + e, table)]
         else:
-            prefix.pop()
+            tail = prefix[t - w :]
+            grow = tails.get(tail)
+            if grow is None:
+                grow = tails[tail] = [e for e in singles if _suffix_clear(tail + e, table)]
+        if t == n - 1:
+            out.extend(map(of, map(prefix.__add__, grow)))
+        else:
+            stack.extend(map(prefix.__add__, reversed(grow)))
     return out
 
 
@@ -139,7 +149,7 @@ def enumerate_blocks_constructive(
         for a in range(1, k):
             step.extend(t + zero_tail + (a,) for t in orders[j - m - 1])
         orders.append(step)
-    return [Block(t) for t in orders[n]]
+    return list(map(Block._of, orders[n]))
 
 
 def _successor_lists(spec: ShiftSpaceSpec) -> list[list[int]]:

@@ -152,7 +152,7 @@ def build_automaton(
     return TransferAutomaton(
         spec=spec,
         window=window,
-        states=tuple(map(Block, _digits(codes, k, window))),
+        states=tuple(map(Block._of, _digits(codes, k, window))),
         edges=tuple(edges),
         trimmed=False,
     )

@@ -123,6 +123,24 @@ def test_enumerate_wide_alphabet_commas(capsys, tmp_path):
     assert check_schema(out, "enumerate")["blocks"] == [str(s) for s in range(11)]
 
 
+@pytest.mark.parametrize("k, line", [(2, "0\u00b2"), (11, "1,\u00b2")])
+def test_spec_digits_int_cannot_read_are_an_error(capsys, tmp_path, k, line):
+    path = tmp_path / "superscript.txt"
+    path.write_text(f"k={k}\n{line}\n")
+    code, out, err = run_cli(capsys, "count", "--spec", str(path), "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("shiftspace: error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_spec_reads_decimal_digits_of_any_script(capsys, tmp_path):
+    path = tmp_path / "arabic-indic.txt"
+    path.write_text("k=2\n\u0661\u0661\n")
+    assert run_cli(capsys, "count", "--spec", str(path), "--n", "4") == (0, "8\n", "")
+
+
 def test_sequence_text(capsys):
     code, out, _ = run_cli(capsys, "sequence", "--tmk", "1,2", "--n-max", "4")
     assert code == 0

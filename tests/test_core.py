@@ -173,6 +173,20 @@ def test_parse_block_comma_separated():
     assert parse_block("10", 11) == Block((10,))
 
 
+@pytest.mark.parametrize(
+    "text, k", [("0\u00b2", 2), ("\u00b2", 2), ("1,\u00b2", 11), ("\u00b9\u00b2,3", 11)]
+)
+def test_parse_block_refuses_digits_int_cannot_read(text, k):
+    # superscripts pass str.isdigit but not int()
+    with pytest.raises(ParseError):
+        parse_block(text, k)
+
+
+def test_parse_block_reads_decimal_digits_of_any_script():
+    assert parse_block("\u0661\u0660\u0661", 2) == Block((1, 0, 1))
+    assert parse_block("\u0661\u0660,\u0663", 11) == Block((10, 3))
+
+
 def test_parse_block_errors():
     with pytest.raises(OutOfAlphabetError):
         parse_block("12", 2)
@@ -225,6 +239,22 @@ def test_validate_spec_aggregates_all_violations():
     with pytest.raises(ValidationError) as info:
         validate_spec(spec)
     assert len(info.value.violations) == 2
+
+
+def test_validate_spec_lists_violations_by_length_then_symbols():
+    spec = spec_from_tuples(2, [(4, 2, 2), (0,), (2, 0), (5,), (3, 0, 1), (1, 2), (0, 1)])
+    with pytest.raises(ValidationError) as info:
+        validate_spec(spec)
+    assert info.value.violations == [
+        "block (5,) uses symbols [5] outside alphabet of size 2",
+        "block (1, 2) uses symbols [2] outside alphabet of size 2",
+        "block (2, 0) uses symbols [2] outside alphabet of size 2",
+        "block (3, 0, 1) uses symbols [3] outside alphabet of size 2",
+        "block (4, 2, 2) uses symbols [2, 4] outside alphabet of size 2",
+    ]
+    with pytest.raises(ValidationError) as info:
+        validate_spec(ShiftSpaceSpec(0, spec.forbidden))
+    assert info.value.violations == ["alphabet size must be at least 1, got 0"]
 
 
 def test_validate_spec_alphabet_size():

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from itertools import islice, product
 
@@ -23,8 +25,8 @@ from shiftspace import (
     is_allowed,
     tmk_spec,
 )
-from shiftspace import enumeration
-from shiftspace.enumeration import _successor_lists, _walks
+from shiftspace import enumeration, transfer
+from shiftspace.enumeration import _successor_lists, _suffix_clear, _suffix_table, _walks
 
 FULL_SHIFT_2 = ShiftSpaceSpec(2)
 REDUCIBLE_K3 = spec_from_tuples(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
@@ -37,6 +39,35 @@ def reference_count(spec, n):
     for _ in range(n):
         weights = [sum(weights[t] for t in targets) for targets in out]
     return weights[0]
+
+
+def reference_enumerate(spec, n):
+    """The plain depth-first search: every symbol at every prefix, checked by _suffix_clear."""
+    k = spec.alphabet_size
+    if n == 0:
+        return [Block(())]
+    table = _suffix_table(spec)
+    out = []
+    prefix = []
+    pending = [0]
+    while pending:
+        s = pending[-1]
+        if s == k:
+            pending.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        pending[-1] += 1
+        prefix.append(s)
+        if _suffix_clear(prefix, table):
+            if len(prefix) == n:
+                out.append(Block(tuple(prefix)))
+                prefix.pop()
+            else:
+                pending.append(0)
+        else:
+            prefix.pop()
+    return out
 
 
 def first_recurrence_length(spec):
@@ -108,6 +139,56 @@ def test_enumerate_matches_brute_force(k, forbidden, n_top):
         expected = brute_force_blocks(k, forbidden, n)
         assert blocks_to_tuples(enumerate_blocks(spec, n)) == expected
         assert count_blocks(spec, n) == len(expected)
+
+
+@st.composite
+def _specs_to_enumerate(draw):
+    """A spec over 1 to 4 symbols with words of length 1 to 6, and a length up to 8."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    word = st.lists(st.integers(min_value=0, max_value=k - 1), min_size=1, max_size=6)
+    spec = spec_from_tuples(k, map(tuple, draw(st.lists(word, max_size=6))))
+    return spec, draw(st.integers(min_value=0, max_value=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_specs_to_enumerate())
+@example(case=(spec_from_tuples(3, []), 6))
+@example(case=(spec_from_tuples(3, [(1,)]), 5))
+@example(case=(spec_from_tuples(2, [(0,), (1,)]), 3))
+# nilpotent: nothing of length 3 or more is allowed
+@example(case=(spec_from_tuples(2, [(0, 0), (1, 1), (0, 1, 0), (1, 0, 1)]), 6))
+# the tail length w = 5 exceeds n, equals it and is one less than it
+@example(case=(spec_from_tuples(2, [(1, 0, 1, 1, 0, 1), (0, 0, 0)]), 3))
+@example(case=(spec_from_tuples(2, [(1, 0, 1, 1, 0, 1), (0, 0, 0)]), 5))
+@example(case=(spec_from_tuples(2, [(1, 0, 1, 1, 0, 1), (0, 0, 0)]), 6))
+def test_enumerate_matches_the_reference_search(case):
+    spec, n = case
+    assert enumerate_blocks(spec, n) == reference_enumerate(spec, n)
+
+
+def test_enumeration_is_independent_of_the_counter_and_the_automaton(monkeypatch):
+    cases = [
+        (tmk_spec(TmkParams(2, 3)), 7),
+        (REDUCIBLE_K3, 5),
+        (FULL_SHIFT_2, 6),
+        (spec_from_tuples(2, [(1, 1, 1, 1, 1)]), 8),
+        (spec_from_tuples(4, [(0, 2, 0), (1, 2), (3, 3, 1)]), 5),
+    ]
+    expected = [enumerate_blocks(spec, n) for spec, n in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration reached the counter or the automaton")
+
+    monkeypatch.setattr(enumeration, "_successor_lists", refuse)
+    monkeypatch.setattr(enumeration, "_count_iter", refuse)
+    monkeypatch.setattr(transfer, "build_automaton", refuse)
+    assert [enumerate_blocks(spec, n) for spec, n in cases] == expected
+    imported = {
+        node.module
+        for node in ast.walk(ast.parse(inspect.getsource(enumeration)))
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert "transfer" not in imported
 
 
 def test_count_blocks_examples(golden_spec, t22_spec, three_symbol_spec):

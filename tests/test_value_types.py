@@ -263,6 +263,34 @@ def test_pickle_and_copy_round_trip(cls, params, values, other_values, text):
         assert repr(clone) == text
 
 
+@pytest.mark.parametrize("symbols", [(), (0,), (0, 1), (3, 0, 2)])
+def test_unchecked_block_is_the_checked_block(symbols):
+    fast, checked = Block._of(symbols), Block(symbols)
+    assert type(fast) is Block and fast.symbols is symbols
+    assert fast == checked and not fast != checked
+    assert hash(fast) == hash(checked)
+    assert repr(fast) == repr(checked)
+    assert fast.__match_args__ == checked.__match_args__ == ("symbols",)
+    match fast:
+        case Block(matched):
+            pass
+    assert matched == symbols
+    for other in (Block(()), Block((0, 1)), Block((1,)), Block((3, 0, 2, 0))):
+        for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+            assert getattr(fast, op)(other) == getattr(checked, op)(other)
+            assert getattr(other, op)(fast) == getattr(other, op)(checked)
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    clones = [pickle.loads(pickle.dumps(fast, protocol)) for protocol in protocols]
+    clones += [copy.copy(fast), copy.deepcopy(fast)]
+    for clone in clones:
+        assert type(clone) is Block
+        assert clone == checked and hash(clone) == hash(checked)
+        assert repr(clone) == repr(checked)
+    with pytest.raises(AttributeError):
+        fast.symbols = ()
+    assert not hasattr(fast, "__dict__")
+
+
 def test_constructors_normalize_iterables():
     assert Block([0, 1]).symbols == (0, 1)
     assert ForbiddenSet([Block((1,)), Block((1,))]).blocks == frozenset({Block((1,))})
@@ -291,6 +319,7 @@ def test_block_ordering():
     [
         (lambda: Block((-1,)), ParameterError, "block symbols must be non-negative integers, got -1"),
         (lambda: Block((0, True)), ParameterError, "block symbols must be non-negative integers, got True"),
+        (lambda: Block(("a",)), ParameterError, "block symbols must be non-negative integers, got 'a'"),
         (lambda: ForbiddenSet([Block(())]), ValidationError, "forbidden blocks must be nonempty"),
         (lambda: ShiftSpaceSpec("2"), ParameterError, "alphabet_size must be an integer"),
         (lambda: TmkParams(0, 2), ParameterError, "m must be an integer >= 1, got 0"),
