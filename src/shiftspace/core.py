@@ -9,11 +9,12 @@ normalization of forbidden sets, and validation.
 
 Every public record of the package (here and in the other modules) is an
 immutable value built on ``_Value``.  Its fields are its ``__slots__``, in
-constructor order, and its ``__init__`` takes them positionally or by
-keyword, sets them, then validates.  Two records are equal when they are
-of the same class and their field tuples are equal, and a record hashes
-as its field tuple.  The repr is ``Name(field=value, ...)``.  Assigning or
-deleting an attribute raises AttributeError, and pickle and copy rebuild a
+constructor order; its ``__init__`` takes them positionally or by keyword,
+sets them with one ``_Value.__init__`` call, then validates.  Where a
+record has ``as_dict``, it is the base's dict of the slots, in slot order.
+Records are equal when of one class with equal field tuples, and hash as
+their field tuple.  The repr is ``Name(field=value, ...)``.  Assigning or
+deleting an attribute raises AttributeError; pickle and copy rebuild a
 record through its constructor.
 
 ``Block._of(symbols)`` builds a block without the constructor's symbol
@@ -44,6 +45,13 @@ def _require_int(name: str, value, minimum: int) -> None:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _require_in_alphabet(symbols: tuple[int, ...], alphabet_size: int) -> None:
+    """Raise OutOfAlphabetError at the first symbol outside {0, ..., alphabet_size - 1}."""
+    for s in symbols:
+        if s >= alphabet_size:
+            raise OutOfAlphabetError(f"symbol {s} does not fit in alphabet of size {alphabet_size}")
+
+
 class _Value:
     """Base of the immutable records; see the module docstring for the contract."""
 
@@ -51,6 +59,15 @@ class _Value:
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
+        # the slots' own setters, since the instance's __setattr__ refuses
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values):
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def _as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def _field_values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -90,7 +107,7 @@ class Block(_Value):
         for s in symbols:
             if not isinstance(s, int) or isinstance(s, bool) or s < 0:
                 raise ParameterError(f"block symbols must be non-negative integers, got {s!r}")
-        object.__setattr__(self, "symbols", symbols)
+        _Value.__init__(self, symbols)
 
     @classmethod
     def _of(cls, symbols: tuple[int, ...]) -> "Block":
@@ -160,7 +177,7 @@ class ForbiddenSet(_Value):
         members = frozenset(blocks)
         if any(len(b) == 0 for b in members):
             raise ValidationError(["forbidden blocks must be nonempty"])
-        object.__setattr__(self, "blocks", members)
+        _Value.__init__(self, members)
 
     def __iter__(self) -> Iterator[Block]:
         return iter(self.blocks)
@@ -183,8 +200,7 @@ class ShiftSpaceSpec(_Value):
     __slots__ = ("alphabet_size", "forbidden")
 
     def __init__(self, alphabet_size: int, forbidden: ForbiddenSet = ForbiddenSet()):
-        object.__setattr__(self, "alphabet_size", alphabet_size)
-        object.__setattr__(self, "forbidden", forbidden)
+        _Value.__init__(self, alphabet_size, forbidden)
         if not isinstance(alphabet_size, int) or isinstance(alphabet_size, bool):
             raise ParameterError("alphabet_size must be an integer")
 
@@ -199,8 +215,7 @@ class TmkParams(_Value):
     __slots__ = ("m", "k")
 
     def __init__(self, m: int, k: int):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
+        _Value.__init__(self, m, k)
         _require_int("m", m, 1)
         _require_int("k", k, 2)
 
@@ -211,8 +226,7 @@ class CountSequence(_Value):
     __slots__ = ("counts", "n_min")
 
     def __init__(self, counts: tuple[int, ...], n_min: int = 1):
-        object.__setattr__(self, "counts", tuple(counts))
-        object.__setattr__(self, "n_min", n_min)
+        _Value.__init__(self, tuple(counts), n_min)
 
     @property
     def n_max(self) -> int:
@@ -286,21 +300,13 @@ def parse_block(text: str, alphabet_size: int) -> Block:
         if any(not tok.isdecimal() for tok in tokens):
             raise ParseError(f"block text must be comma-separated decimal integers: {text!r}")
         symbols = tuple(int(tok) for tok in tokens)
-    for s in symbols:
-        if s >= alphabet_size:
-            raise OutOfAlphabetError(
-                f"symbol {s} does not fit in alphabet of size {alphabet_size}"
-            )
+    _require_in_alphabet(symbols, alphabet_size)
     return Block._of(symbols)
 
 
 def block_text(block: Block, alphabet_size: int) -> str:
     """Inverse of parse_block for blocks over the given alphabet."""
-    for s in block:
-        if s >= alphabet_size:
-            raise OutOfAlphabetError(
-                f"symbol {s} does not fit in alphabet of size {alphabet_size}"
-            )
+    _require_in_alphabet(block.symbols, alphabet_size)
     if alphabet_size <= 10:
         return "".join(str(s) for s in block)
     return ",".join(str(s) for s in block)
@@ -356,9 +362,6 @@ def load_spec_file(path: str | Path) -> ShiftSpaceSpec:
             raise type(exc)(f"{path}:{lineno}: {exc}") from None
     if alphabet_size is None:
         raise ParseError(f"{path}: no k=<int> line found")
-    spec = ShiftSpaceSpec(alphabet_size=alphabet_size, forbidden=ForbiddenSet(raw))
-    validate_spec(spec)
-    return ShiftSpaceSpec(
-        alphabet_size=alphabet_size,
-        forbidden=normalize_forbidden_set(spec.forbidden),
-    )
+    # parse_block has refused every symbol outside the alphabet, with its
+    # line, and the header every k < 1, so validate_spec has nothing to find
+    return ShiftSpaceSpec(alphabet_size=alphabet_size, forbidden=normalize_forbidden_set(raw))

@@ -47,22 +47,9 @@ class DesignResult(_Value):
     def __init__(
         self, m: int, k: int, lambda0: float, entropy: float, deviation: float, exact: bool
     ):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lambda0", lambda0)
-        object.__setattr__(self, "entropy", entropy)
-        object.__setattr__(self, "deviation", deviation)
-        object.__setattr__(self, "exact", exact)
+        _Value.__init__(self, m, k, lambda0, entropy, deviation, exact)
 
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "lambda0": self.lambda0,
-            "entropy": self.entropy,
-            "deviation": self.deviation,
-            "exact": self.exact,
-        }
+    as_dict = _Value._as_dict
 
 
 class EntropyTableRow(_Value):
@@ -71,13 +58,9 @@ class EntropyTableRow(_Value):
     __slots__ = ("m", "k", "lambda0", "entropy")
 
     def __init__(self, m: int, k: int, lambda0: float, entropy: float):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lambda0", lambda0)
-        object.__setattr__(self, "entropy", entropy)
+        _Value.__init__(self, m, k, lambda0, entropy)
 
-    def as_dict(self) -> dict:
-        return {"m": self.m, "k": self.k, "lambda0": self.lambda0, "entropy": self.entropy}
+    as_dict = _Value._as_dict
 
 
 def _require_range(name: str, bounds, minimum: int) -> tuple[int, int]:

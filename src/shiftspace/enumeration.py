@@ -20,25 +20,28 @@ The counter shares no code with the depth-first search or the block
 automaton.  At large n it answers through recurrence.evaluate: by
 Cayley-Hamilton the counts of a counter with s states obey a recurrence of
 order at most s, and its first 2s + 2 counts prove the minimal one.
+
+The spaced family's constructive order is built from (m, k) alone, with no
+forbidden set, search or counter, and refuses only by its own counts.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from itertools import islice
+from itertools import chain, islice
 
 from .core import (
     Block,
     CountSequence,
     ShiftSpaceSpec,
     TmkParams,
+    _require_in_alphabet,
     _require_int,
-    tmk_spec,
     validate_spec,
 )
-from .errors import OutOfAlphabetError, ResourceLimitError
-from .recurrence import _proven_recurrence, evaluate
+from .errors import ResourceLimitError
+from .recurrence import _proven_recurrence, _term_iter, evaluate, tmk_recurrence
 
 DEFAULT_MAX_CANDIDATES = 2**24
 
@@ -62,11 +65,7 @@ def _suffix_clear(prefix, table) -> bool:
 def is_allowed(spec: ShiftSpaceSpec, block: Block) -> bool:
     """Whether the block avoids every forbidden block as a factor."""
     validate_spec(spec)
-    for s in block:
-        if s >= spec.alphabet_size:
-            raise OutOfAlphabetError(
-                f"symbol {s} does not fit in alphabet of size {spec.alphabet_size}"
-            )
+    _require_in_alphabet(block.symbols, spec.alphabet_size)
     return not any(block.contains_factor(f) for f in spec.forbidden)
 
 
@@ -129,27 +128,30 @@ def enumerate_blocks_constructive(
     order in which the recurrence builds it.
     """
     _require_int("block length", n, 0)
-    spec = tmk_spec(params)
+    m, k = params.m, params.k
     # the counts never decrease, a(j) = a(j-1) + (k-1) * a(j-m-1), so the
     # walk can stop at the first length whose count is over the cap
-    if any(count > max_candidates for count in islice(_count_iter(_successor_lists(spec)), n + 1)):
+    counts = chain((1,), _term_iter(tmk_recurrence(params)))
+    if any(count > max_candidates for count in islice(counts, n + 1)):
         raise ResourceLimitError(
             f"materializing the allowed blocks of length {n} exceeds the cap of "
             f"{max_candidates} blocks"
         )
-    m, k = params.m, params.k
-    seed_top = min(n, m + 1)
-    orders: list[list[tuple[int, ...]]] = [
-        [b.symbols for b in enumerate_blocks(spec, j, max_candidates=max_candidates)]
-        for j in range(seed_top + 1)
-    ]
-    zero_tail = (0,) * m
-    for j in range(seed_top + 1, n + 1):
-        step = [t + (0,) for t in orders[j - 1]]
-        for a in range(1, k):
-            step.extend(t + zero_tail + (a,) for t in orders[j - m - 1])
-        orders.append(step)
-    return list(map(Block._of, orders[n]))
+    tails = [(0,) * m + (a,) for a in range(k - 1, 0, -1)]
+    # (j, suffix) on the stack, next on top, stands for the length j blocks
+    # each followed by suffix, so only length n and the seeds are built
+    blocks, seeds, stack = [], {}, [(n, ())]
+    while stack:
+        j, suffix = stack.pop()
+        if j > m + 1:
+            stack += [(j - m - 1, tail + suffix) for tail in tails] + [(j - 1, (0,) + suffix)]
+            continue
+        if j not in seeds:  # one nonzero symbol at most: 0^j, then 0^i a 0^(j-1-i), i falling
+            seeds[j] = [(0,) * j] + [
+                (0,) * i + (a,) + (0,) * (j - 1 - i) for i in range(j)[::-1] for a in range(1, k)
+            ]
+        blocks += [block + suffix for block in seeds[j]]
+    return list(map(Block._of, blocks))
 
 
 def _successor_lists(spec: ShiftSpaceSpec) -> list[list[int]]:

@@ -37,9 +37,7 @@ class LinearRecurrence(_Value):
     def __init__(
         self, coefficients: tuple[int, ...], initial_terms: tuple[int, ...], offset: int = 1
     ):
-        object.__setattr__(self, "coefficients", tuple(coefficients))
-        object.__setattr__(self, "initial_terms", tuple(initial_terms))
-        object.__setattr__(self, "offset", offset)
+        _Value.__init__(self, tuple(coefficients), tuple(initial_terms), offset)
         if len(self.coefficients) < 1:
             raise ParameterError("a recurrence needs at least one coefficient")
         if len(self.initial_terms) != len(self.coefficients):
@@ -71,11 +69,7 @@ class RecurrenceCheck(_Value):
         expected: int | None = None,
         actual: int | None = None,
     ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "terms_checked", terms_checked)
-        object.__setattr__(self, "first_mismatch", first_mismatch)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
+        _Value.__init__(self, status, terms_checked, first_mismatch, expected, actual)
 
 
 def tmk_recurrence(params: TmkParams) -> LinearRecurrence:

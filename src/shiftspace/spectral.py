@@ -51,8 +51,7 @@ class CharacteristicPolynomial(_Value):
     __slots__ = ("m", "k")
 
     def __init__(self, m: int, k: int):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
+        _Value.__init__(self, m, k)
         _require_int("m", m, 1)
         _require_int("k", k, 2)
 
@@ -69,20 +68,9 @@ class EntropyReport(_Value):
     __slots__ = ("lambda0", "entropy", "log_base", "method", "residual")
 
     def __init__(self, lambda0: float, entropy: float, log_base: str, method: str, residual: float):
-        object.__setattr__(self, "lambda0", lambda0)
-        object.__setattr__(self, "entropy", entropy)
-        object.__setattr__(self, "log_base", log_base)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "residual", residual)
+        _Value.__init__(self, lambda0, entropy, log_base, method, residual)
 
-    def as_dict(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "entropy": self.entropy,
-            "log_base": self.log_base,
-            "method": self.method,
-            "residual": self.residual,
-        }
+    as_dict = _Value._as_dict
 
 
 def closed_form_root_m1(k: int) -> float:

@@ -5,9 +5,10 @@ least the longest forbidden block; an edge labeled s joins u to v when u
 extended by s is allowed and v is that extension with the first symbol
 dropped.  The build grows the allowed blocks one symbol at a time as base-k
 integer codes: a block is allowed exactly when its prefix and its suffix one
-shorter are and it is not itself forbidden.  It shares no code with
-enumeration's depth-first search or its counter, so the three counting
-methods stay independent checks of each other.
+shorter are and it is not itself forbidden, and those layers also count the
+blocks shorter than the window.  It shares no code with enumeration's
+depth-first search and calls its counter only for the state-cap pre-check,
+which gives no count, so the three methods stay independent checks.
 
 Allowed blocks of length n >= L-1 correspond one to one to paths of length
 n-L+1, so counts come from iterating the adjacency matrix over the
@@ -57,7 +58,7 @@ class AdjacencyMatrix(_Value):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rows", rows)
+        _Value.__init__(self, rows)
 
     @property
     def size(self) -> int:
@@ -81,11 +82,7 @@ class TransferAutomaton(_Value):
         edges: tuple[tuple[int, int, int], ...],
         trimmed: bool = False,
     ):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "trimmed", trimmed)
+        _Value.__init__(self, spec, window, states, edges, trimmed)
 
     @property
     def num_states(self) -> int:
@@ -124,22 +121,8 @@ def build_automaton(
                 f"the automaton would need {allowed} states (the allowed blocks of "
                 f"length {window}), over the cap of {max_states}"
             )
-    banned: dict[int, set[int]] = {}
-    for block in spec.forbidden:
-        banned.setdefault(len(block), set()).add(_code(block.symbols, k))
-    # a block's code has its first symbol least significant, so appending s
-    # to a block of length j adds s k^j and dropping the first symbol is
-    # division by k; an extension of an allowed block is allowed exactly
-    # when its suffix is in the layer before and it is not forbidden.  Each
-    # layer extends the one before in order, so its codes are listed in
-    # lexicographic order of their blocks.
-    codes = [0]
-    for length in range(1, window + 1):
-        shorter = set(codes)
-        shifts = [s * k ** (length - 1) for s in range(k)]
-        codes = [g for code in codes for shift in shifts if (g := code + shift) // k in shorter]
-        if length in banned:
-            codes = [g for g in codes if g not in banned[length]]
+    banned = _banned_codes(spec)
+    codes = _allowed_codes(k, banned, window)
     index = {code: i for i, code in enumerate(codes)}
     shifts = [s * k**window for s in range(k)]
     banned_edges = banned.get(window + 1, set())
@@ -156,6 +139,33 @@ def build_automaton(
         edges=tuple(edges),
         trimmed=False,
     )
+
+
+def _banned_codes(spec: ShiftSpaceSpec) -> dict[int, set[int]]:
+    """The codes of the forbidden blocks, by length."""
+    banned: dict[int, set[int]] = {}
+    for block in spec.forbidden:
+        banned.setdefault(len(block), set()).add(_code(block.symbols, spec.alphabet_size))
+    return banned
+
+
+def _allowed_codes(k: int, banned: dict[int, set[int]], length: int) -> list[int]:
+    """The codes of the allowed blocks of a length, in lexicographic order of their blocks.
+
+    A block's code has its first symbol least significant, so appending s
+    to a block of length j adds s k^j and dropping the first symbol is
+    division by k; an extension of an allowed block is allowed exactly when
+    its suffix is in the layer before and it is not forbidden.  Each layer
+    extends the one before in order, so it keeps lexicographic order.
+    """
+    codes = [0]
+    for j in range(1, length + 1):
+        shorter = set(codes)
+        shifts = [s * k ** (j - 1) for s in range(k)]
+        codes = [g for code in codes for shift in shifts if (g := code + shift) // k in shorter]
+        if j in banned:
+            codes = [g for g in codes if g not in banned[j]]
+    return codes
 
 
 def _code(symbols: tuple[int, ...], k: int) -> int:
@@ -252,15 +262,15 @@ def count_via_matrix(automaton: TransferAutomaton, n: int) -> int:
     stable; the remaining steps then walk the quotient or power its
     edge-count matrix, whichever _squares finds cheaper.  The count is
     exact, since the path counts from a state depend only on its class.
-    Lengths below the window fall back to the dynamic
-    program; the automaton must be untrimmed, because trimming drops
-    finite blocks that do not extend forever.
+    Lengths below the window are counted by the build's own layers; the
+    automaton must be untrimmed, because trimming drops finite blocks that
+    do not extend forever.
     """
     _require_int("block length", n, 0)
     if automaton.trimmed:
         raise ParameterError("block counting needs the untrimmed automaton")
     if n < automaton.window:
-        return count_blocks(automaton.spec, n)
+        return len(_allowed_codes(automaton.spec.alphabet_size, _banned_codes(automaton.spec), n))
     steps = n - automaton.window
     partition = _Partition(automaton.out_lists())
     weights = [1] * len(partition.rows)

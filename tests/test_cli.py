@@ -474,6 +474,22 @@ def test_verify_builds_and_walks_once(capsys, monkeypatch, tmp_path):
     )
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_verify_matrix_column_needs_no_counter(capsys, monkeypatch, tmp_path, fmt):
+    # the window of 1^5 is 4, so n = 1..3 come from count_via_matrix's own layers
+    path = tmp_path / "ones.txt"
+    path.write_text("k=2\n11111\n")
+    argv = ["verify", "--spec", str(path), "--n-max", "12", "--format", fmt]
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the matrix column reached the counter")
+
+    monkeypatch.setattr(transfer, "count_blocks", refuse)
+    assert run_cli(capsys, *argv) == expected
+
+
 @pytest.mark.parametrize("tmk", ["1,2", "1,5", "3,2", "3,5"])
 def test_verify_grid_corners_agree(capsys, tmk):
     code, out, _ = run_cli(capsys, "verify", "--tmk", tmk, "--n-max", "18")

@@ -25,7 +25,7 @@ from shiftspace import (
     is_allowed,
     tmk_spec,
 )
-from shiftspace import enumeration, transfer
+from shiftspace import core, enumeration, transfer
 from shiftspace.enumeration import _successor_lists, _suffix_clear, _suffix_table, _walks
 
 FULL_SHIFT_2 = ShiftSpaceSpec(2)
@@ -363,6 +363,49 @@ def test_constructive_seed_lengths_are_lexicographic():
 def test_constructive_resource_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_blocks_constructive(TmkParams(1, 2), 40, max_candidates=100)
+
+
+def test_constructive_needs_neither_the_forbidden_set_nor_the_search_nor_the_counter(monkeypatch):
+    spec_of, lex_order = core.tmk_spec, enumeration.enumerate_blocks
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the constructive order reached the forbidden set, search or counter")
+
+    monkeypatch.setattr(core, "tmk_spec", refuse)
+    for name in ("enumerate_blocks", "_successor_lists", "_count_iter"):
+        monkeypatch.setattr(enumeration, name, refuse)
+    for m in range(1, 5):
+        for k in range(2, 6):
+            params = TmkParams(m, k)
+            spec = spec_of(params)
+            orders = {}
+            for n in range(13):
+                constructive = orders[n] = blocks_to_tuples(enumerate_blocks_constructive(params, n))
+                lex = blocks_to_tuples(lex_order(spec, n, max_candidates=k**n))
+                assert sorted(constructive) == lex
+                if n <= m + 1:
+                    assert constructive == lex
+                else:
+                    shorter = orders.pop(n - m - 1)
+                    assert constructive == [t + (0,) for t in orders[n - 1]] + [
+                        t + (0,) * m + (a,) for a in range(1, k) for t in shorter
+                    ]
+    assert not hasattr(enumeration, "tmk_spec")
+
+
+def test_constructive_has_no_cap_on_its_seed_lengths():
+    # 300^3 and 2000^2 candidates, but only 1 + n(k-1) blocks
+    blocks = enumerate_blocks_constructive(TmkParams(3, 300), 3)
+    assert len(blocks) == 898 and blocks == sorted(blocks)
+    blocks = enumerate_blocks_constructive(TmkParams(1, 2000), 2)
+    assert len(blocks) == 3999 and blocks == sorted(blocks)
+    # a(2002) = a(2001) + a(1) = 2002 + 2 for m = 2000, k = 2: at most one
+    # nonzero symbol, or two with at least 2000 zeroes between them
+    blocks = enumerate_blocks_constructive(TmkParams(2000, 2), 2002)
+    assert len(blocks) == len(set(blocks)) == 2004
+    for block in blocks:
+        ones = [i for i, s in enumerate(block) if s]
+        assert len(block) == 2002 and all(b - a > 2000 for a, b in zip(ones, ones[1:]))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

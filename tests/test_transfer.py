@@ -280,6 +280,19 @@ def random_specs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(random_specs())
+@example(spec_from_tuples(2, [(1,) * 12]))
+@example(tmk_spec(TmkParams(4, 3)))
+def test_count_via_matrix_below_the_window_needs_no_counter(spec):
+    # k^window stays within max_states, so the build's pre-check does not count either
+    automaton = build_automaton(spec)
+    expected = [count_blocks(spec, n) for n in range(automaton.window)]
+    refuse = AssertionError("count_via_matrix reached the counter")
+    with patch.object(transfer, "count_blocks", side_effect=refuse):
+        assert [count_via_matrix(automaton, n) for n in range(automaton.window)] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_specs())
 def test_path_counts_equal_dense_walk_on_spec_automata(spec):
     automaton = build_automaton(spec)
     assert first_counts(_path_counts(automaton)) == first_counts(reference_path_counts(automaton))

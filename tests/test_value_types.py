@@ -291,6 +291,15 @@ def test_unchecked_block_is_the_checked_block(symbols):
     assert not hasattr(fast, "__dict__")
 
 
+def test_as_dict_is_the_slots_in_order_and_only_on_rendered_records():
+    rendered = {EntropyReport, DesignResult, EntropyTableRow}
+    for cls, params, values, _other, _text in RECORDS:
+        if cls in rendered:
+            assert list(cls(*values).as_dict().items()) == list(zip(_names(params), values))
+        else:
+            assert not hasattr(cls, "as_dict")
+
+
 def test_constructors_normalize_iterables():
     assert Block([0, 1]).symbols == (0, 1)
     assert ForbiddenSet([Block((1,)), Block((1,))]).blocks == frozenset({Block((1,))})
