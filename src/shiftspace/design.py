@@ -18,23 +18,23 @@ from .spectral import _log, _require_tol, dominant_root, entropy_tmk
 
 EXACT_DEVIATION = 1e-9
 
-# The most pairs a design scan computes, one entropy_tmk call of tens of
-# microseconds each, so a scan ends within seconds; the windows are summed
-# before the first call.
+# The most pairs a design scan or an entropy table computes, one entropy_tmk
+# call of tens of microseconds each, so a full grid ends within seconds; the
+# pairs are counted before the first call.
 MAX_CANDIDATES = 2**16
 
 # Relative widening of the root bounds of a design window.  It must exceed
 # the float error, relative to lambda, between a computed entropy and the k
 # whose root it stands for:
-# - dominant_root stops after a Newton step below 1e-12 relative, past which
-#   the error shrinks quadratically;
+# - dominant_root lies within about one ulp, 2^-52 relative, of the root
+#   (its docstring gives the bound);
 # - exp, log and the scaling by ln b err by a few ulps of an exponent of
 #   magnitude |ln lambda| <= 710, under 1e-13 relative in lambda;
 # - q(lambda) errs by a few ulps of lambda^(m+1), at most about
 #   m |ln lambda| 2^-53 <= 709 * 2^-53 relative in q before it overflows,
 #   and since lambda q'(lambda) >= lambda^(m+1) for lambda >= 1, that is a
 #   few 2^-52 relative in lambda.
-# 1e-9 dominates their sum a thousandfold; the further +-1 on the integer
+# 1e-9 dominates their sum ten-thousandfold; the further +-1 on the integer
 # bounds covers rounding q to an integer.
 _WINDOW_MARGIN = 1e-9
 
@@ -73,17 +73,6 @@ def _require_range(name: str, bounds, minimum: int) -> tuple[int, int]:
     if lo < minimum or hi < lo:
         raise ParameterError(f"{name} must satisfy {minimum} <= low <= high, got {bounds!r}")
     return lo, hi
-
-
-def _scan(m_range, k_range, log_base: str):
-    """(m, k, entropy_tmk report) over the grid, m-major; the ranges are checked at once."""
-    m_lo, m_hi = _require_range("m_range", m_range, 1)
-    k_lo, k_hi = _require_range("k_range", k_range, 2)
-    return (
-        (m, k, entropy_tmk(m, k, log_base=log_base))
-        for m in range(m_lo, m_hi + 1)
-        for k in range(k_lo, k_hi + 1)
-    )
 
 
 def _alphabet_size(lam: float, m: int) -> float:
@@ -234,8 +223,21 @@ def entropy_table(
     k_range: tuple[int, int] = (2, 30),
     log_base: str = "e",
 ) -> list[EntropyTableRow]:
-    """Growth rate and entropy for every pair on the grid, m-major order."""
-    return [
-        EntropyTableRow(m=m, k=k, lambda0=report.lambda0, entropy=report.entropy)
-        for m, k, report in _scan(m_range, k_range, log_base)
-    ]
+    """Growth rate and entropy for every pair on the grid, m-major order.
+
+    ResourceLimitError refuses a grid of more than MAX_CANDIDATES pairs
+    before any entropy is computed.
+    """
+    m_lo, m_hi = _require_range("m_range", m_range, 1)
+    k_lo, k_hi = _require_range("k_range", k_range, 2)
+    if (m_hi - m_lo + 1) * (k_hi - k_lo + 1) > MAX_CANDIDATES:
+        raise ResourceLimitError(
+            f"the table grid holds more than {MAX_CANDIDATES} (m, k) pairs; "
+            "narrow m_range or k_range"
+        )
+    rows = []
+    for m in range(m_lo, m_hi + 1):
+        for k in range(k_lo, k_hi + 1):
+            report = entropy_tmk(m, k, log_base=log_base)
+            rows.append(EntropyTableRow(m=m, k=k, lambda0=report.lambda0, entropy=report.entropy))
+    return rows

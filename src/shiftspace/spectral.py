@@ -2,9 +2,10 @@
 
 The counting recurrence a(n) = a(n-1) + (k-1) * a(n-m-1) has the
 characteristic polynomial x^(m+1) - x^m - (k-1), whose unique root in
-(1, k] is the growth rate of the counts; entropy is its logarithm.  The
-root is found by bisection followed by Newton refinement, and for m = 1 it
-is cross-checked against the quadratic closed form (1 + sqrt(4k-3)) / 2.
+(1, k] is the growth rate of the counts; entropy is its logarithm.  One
+bisection down to adjacent floats, reading only the polynomial's sign,
+finds that root within about one ulp; for m = 1 the quadratic closed form
+(1 + sqrt(4k-3)) / 2 is also available.
 """
 
 from __future__ import annotations
@@ -12,12 +13,9 @@ from __future__ import annotations
 import math
 
 from .core import _require_int, _Value
-from .errors import ConvergenceError, ParameterError
+from .errors import ParameterError
 
 _LOG_FUNCTIONS = {"e": math.log, "2": math.log2, "10": math.log10}
-
-_BISECTION_WIDTH = 1e-3
-_NEWTON_MAX_STEPS = 50
 
 
 def _log(value: float, log_base: str) -> float:
@@ -80,77 +78,51 @@ def closed_form_root_m1(k: int) -> float:
 
 
 def dominant_root(m: int, k: int, tol: float = 1e-12) -> float:
-    """The unique root of x^(m+1) - x^m - (k-1) in (1, k].
+    """The unique root of x^(m+1) - x^m - (k-1) in (1, k], to within one ulp.
 
-    Bisection brings the bracket below 1e-3, then Newton refines from the
-    upper end; the polynomial is convex and increasing there, so the
-    iteration converges monotonically.  A point where x^(m+1) overflows a
-    float counts as lying above the root; ConvergenceError is raised when
-    Newton would have to start at one.  For m = 1 the result is
-    cross-checked against the closed form.  ParameterError is raised when
-    k itself lies beyond float range.
+    One bisection on [1, k] down to adjacent floats reads the sign of
+    x^m (x - 1) - (k - 1), which by Descartes' rule is negative below the
+    root and non-negative from it on; where x^m overflows, the sign of
+    m ln x + ln(x - 1) - ln(k - 1).  A non-negative sign moves the upper
+    end, which is returned, so a float root such as 2.0 for (1, 3) comes
+    back exactly.  For k - 1 < 2^53 and a root below 2^53, float(k - 1) and
+    x - 1.0 are exact, so x^m (x - 1) errs by pow's error plus one rounding,
+    about 2^-51 relative if pow is accurate to about one ulp, as on common
+    platforms; since d ln(x^m (x - 1)) / d ln x = m + x / (x - 1) >= 2, a
+    wrong sign occurs only within about one ulp of the root.  tol is checked
+    but does not change the result.  ParameterError is raised when k lies
+    beyond float range.
     """
-    poly = CharacteristicPolynomial(m, k)
+    CharacteristicPolynomial(m, k)  # checks m and k
     _require_tol(tol)
     lo, hi = 1.0, _float_k(k)
-    while hi - lo > _BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # adjacent floats: a root above about 4.5e12 has no finer bracket
+    c, log_c = float(k - 1), math.log(k - 1)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         try:
-            if poly.value(mid) <= 0.0:
-                lo = mid
-                continue
+            above = mid**m * (mid - 1.0) >= c
         except OverflowError:
-            pass  # x^(m+1) overflows only above the root, where it dominates
-        hi = mid
-    x = hi
-    converged = False
-    try:
-        for _ in range(_NEWTON_MAX_STEPS):
-            step = poly.value(x) / poly.derivative(x)
-            nxt = x - step
-            done = abs(nxt - x) <= tol * max(1.0, abs(nxt))
-            x = nxt
-            if done:
-                converged = True
-                break
-    except OverflowError:
-        # Newton descends from hi, so only its first step can overflow
-        raise ConvergenceError(
-            f"x^(m+1) overflows a float at {x}, the upper end of the bisection "
-            "bracket, so Newton refinement cannot start there",
-            last_estimate=x,
-            residual=hi - lo,
-            iterations=0,
-        ) from None
-    if not converged:
-        raise ConvergenceError(
-            f"Newton refinement did not reach tol={tol} within {_NEWTON_MAX_STEPS} steps",
-            last_estimate=x,
-            residual=abs(poly.value(x)),
-            iterations=_NEWTON_MAX_STEPS,
-        )
-    if m == 1:
-        reference = closed_form_root_m1(k)
-        if abs(x - reference) > 1e-9 * max(1.0, reference):
-            raise ConvergenceError(
-                f"numeric root {x} disagrees with the closed form {reference}",
-                last_estimate=x,
-                residual=abs(x - reference),
-                iterations=_NEWTON_MAX_STEPS,
-            )
-    return x
+            above = m * math.log(mid) + math.log(mid - 1.0) >= log_c
+        if above:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 def entropy_tmk(m: int, k: int, log_base: str = "e", tol: float = 1e-12) -> EntropyReport:
     """Entropy of the spaced family as the log of its growth rate."""
     root = dominant_root(m, k, tol)
-    poly = CharacteristicPolynomial(m, k)
+    try:
+        residual = abs(CharacteristicPolynomial(m, k).value(root))
+    except OverflowError:  # only for k near float max: p = (k-1) (x^m (x-1) / (k-1) - 1)
+        log_ratio = m * math.log(root) + math.log(root - 1.0) - math.log(k - 1)
+        residual = (k - 1) * abs(math.expm1(log_ratio))
     return EntropyReport(
         lambda0=root,
         entropy=_log(root, log_base),
         log_base=log_base,
         method="closed-form" if m == 1 else "polynomial",
-        residual=abs(poly.value(root)),
+        residual=residual,
     )

@@ -603,6 +603,17 @@ def test_design_refuses_a_window_over_the_cap(capsys):
     assert "pairs" in err and "Traceback" not in err
 
 
+def test_table_refuses_a_grid_over_the_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "table", "--m-range", "1..1000000", "--k-range", "2..1000000"
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert out == ""
+    assert "pairs" in err and "Traceback" not in err
+
+
 def test_design_mutually_exclusive_targets(capsys):
     code, _, _ = run_cli(
         capsys, "design", "--target-entropy", "1", "--target-ratio", "2", "--m", "1"
@@ -874,7 +885,11 @@ _FLOATS = st.one_of(
 # whole iteration budget
 _TOLS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-9", "1e-6", "0.5", "2"])
 _TMK = st.builds(lambda m, k: f"{m},{k}", st.integers(0, 4), st.integers(1, 6))
-_RANGE = st.builds(lambda lo, hi: f"{lo}..{hi}", st.integers(0, 4), st.integers(0, 12))
+_RANGE = st.one_of(
+    st.builds(lambda lo, hi: f"{lo}..{hi}", st.integers(0, 4), st.integers(0, 12)),
+    # each over the table's cap of 2^16 pairs on its own
+    st.sampled_from(["2..100000", "1..1000000", "2..10000000000"]),
+)
 
 
 @st.composite

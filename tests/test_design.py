@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftspace import (
-    ConvergenceError,
     ParameterError,
     ResourceLimitError,
     design_for_entropy,
@@ -190,6 +189,23 @@ def test_entropy_table_matches_elementwise():
         assert row.entropy == report.entropy
 
 
+def test_entropy_table_refuses_a_grid_over_the_cap_before_computing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("entropy_tmk called")
+
+    monkeypatch.setattr(design, "entropy_tmk", refuse)
+    with pytest.raises(ResourceLimitError, match=f"more than {design.MAX_CANDIDATES}"):
+        entropy_table(m_range=(1, 1), k_range=(2, design.MAX_CANDIDATES + 2))
+    with pytest.raises(ResourceLimitError):
+        entropy_table(m_range=(1, 10**6), k_range=(2, 10**6))
+    monkeypatch.setattr(design, "MAX_CANDIDATES", 7)
+    with pytest.raises(ResourceLimitError, match="more than 7"):
+        entropy_table(m_range=(2, 3), k_range=(3, 6))
+    monkeypatch.setattr(design, "entropy_tmk", entropy_tmk)
+    monkeypatch.setattr(design, "MAX_CANDIDATES", 8)
+    assert len(entropy_table(m_range=(2, 3), k_range=(3, 6))) == 8
+
+
 def test_entropy_table_validation():
     with pytest.raises(ParameterError):
         entropy_table(m_range=(2, 1))
@@ -313,11 +329,14 @@ def test_design_stops_once_the_window_passes_k_range(monkeypatch):
 
 
 def test_design_skips_pairs_outside_the_window():
-    # dominant_root(100000, 2) raises ConvergenceError, but its entropy,
-    # about 1e-4, is far below the window of a target of 1.0
+    # the entropy of (100000, 2), about 9.3e-5, is far below the window of
+    # a target of 1.0, but within 1e-3 of 1e-4
     assert design_for_entropy(1.0, m_range=(100000, 100000), k_range=(2, 30)) == []
-    with pytest.raises(ConvergenceError):
-        design_for_entropy(1e-4, m_range=(100000, 100000), k_range=(2, 30), tol=1e-3)
+    results = design_for_entropy(1e-4, m_range=(100000, 100000), k_range=(2, 30), tol=1e-3)
+    (result,) = [r for r in results if r.k == 2]
+    assert result.lambda0 == dominant_root(100000, 2) == 1.0000928496054526
+    assert result.entropy == pytest.approx(9.284529519473951e-05, rel=1e-11)
+    assert result.deviation == pytest.approx(1e-4 - 9.284529519473951e-05, rel=1e-7)
 
 
 def test_design_refuses_an_unknown_base_after_the_ranges(monkeypatch):

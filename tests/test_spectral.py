@@ -3,10 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftspace import (
     CharacteristicPolynomial,
-    ConvergenceError,
     ParameterError,
     closed_form_root_m1,
     dominant_root,
@@ -48,9 +49,9 @@ def test_dominant_root_frozen_values():
 
 
 def test_dominant_root_past_float_overflow():
-    # x^2001 overflows a float for x > 1.43, so the bisection has to treat
-    # an overflow as lying above the root.  The root is checked in log
-    # space: m ln x + ln(x - 1) - ln(k - 1) changes sign across it.
+    # x^2001 overflows a float for x > 1.43, so the bisection has to read
+    # the sign past it in log space.  The root is checked in log space too:
+    # m ln x + ln(x - 1) - ln(k - 1) changes sign across it.
     m, k = 2000, 1000
     root = dominant_root(m, k)
 
@@ -61,11 +62,61 @@ def test_dominant_root_past_float_overflow():
     assert root == pytest.approx(1.0060272043310965, rel=1e-14)
 
 
-def test_dominant_root_overflow_at_newton_start_is_a_convergence_error():
-    # the bisection stops at [1, 1 + 2^-10], and x^(m+1) overflows at its upper end
-    with pytest.raises(ConvergenceError) as info:
-        dominant_root(10**6, 2)
-    assert info.value.last_estimate == 1.0 + 2.0**-10
+def test_dominant_root_answers_where_x_to_the_m_overflows_near_the_root():
+    # x^(10^6) overflows a float above x = 1.00071, so most steps read the log form
+    assert dominant_root(10**6, 2) == 1.0000113834176447
+
+
+def _exact_sign(m, k, x):
+    """Sign of x^m (x - 1) - (k - 1) at the float x = a / b, in exact integers."""
+    a, b = x.as_integer_ratio()  # b is a power of two
+    value = a**m * (a - b) - (k - 1) * b ** (m + 1)
+    return (value > 0) - (value < 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(1, 400), st.integers(2, 10**15)),
+        st.tuples(st.integers(1, 6), st.integers(2, 2**200)),
+    )
+)
+def test_dominant_root_within_one_ulp_of_the_exact_float_threshold(m_k):
+    # p < 0 two floats below the result and p >= 0 one float above it, so
+    # the smallest float c with p(c) >= 0 is the result or a neighbour
+    m, k = m_k
+    root = dominant_root(m, k)
+    below = math.nextafter(root, 0.0)
+    assert _exact_sign(m, k, math.nextafter(below, 0.0)) < 0
+    assert _exact_sign(m, k, math.nextafter(root, math.inf)) >= 0
+
+
+def test_dominant_root_returns_a_float_root_exactly():
+    assert dominant_root(1, 3) == 2.0
+    assert dominant_root(1, 21) == 5.0
+    assert dominant_root(2, 5) == 2.0
+    assert dominant_root(3, 9) == 2.0
+
+
+def test_dominant_root_near_float_max():
+    # x^2000 overflows at the root itself, 1.4262..., where x^2000 (x - 1)
+    # is 10^308; the log form decides the sign there
+    assert dominant_root(2000, 10**308) == 1.4262156093833802
+    # x^2001 overflows there too, so the residual is read in the same log form
+    report = entropy_tmk(2000, 10**308)
+    assert report.lambda0 == 1.4262156093833802
+    assert 0.0 <= report.residual < math.inf
+
+
+@pytest.mark.parametrize("m", [10**5, 10**6, 10**7])
+def test_dominant_root_at_large_m(m):
+    root = dominant_root(m, 2)
+
+    def log_form(x):
+        return m * math.log(x) + math.log(x - 1.0)
+
+    below = math.nextafter(math.nextafter(root, 0.0), 0.0)
+    assert log_form(below) < 0.0 <= log_form(math.nextafter(root, math.inf))
 
 
 @pytest.mark.parametrize(
@@ -90,8 +141,8 @@ def test_k_beyond_float_range_is_a_parameter_error(call, k, bits):
 
 @pytest.mark.parametrize("m, k", [(1, 10**26), (1, 10**100), (2, 10**40), (5, 2**1023)])
 def test_dominant_root_ends_when_the_bracket_reaches_adjacent_floats(m, k):
-    # above about 4.5e12 two adjacent floats lie more than 1e-3 apart, so
-    # the bisection stops there instead of at its bracket width
+    # roots above about 4.5e12, where two adjacent floats lie more than
+    # 1e-3 apart
     root = dominant_root(m, k)
     if m == 1:
         assert root == pytest.approx(closed_form_root_m1(k), rel=1e-12)
