@@ -254,8 +254,9 @@ def _cmd_verify(args) -> int:
         (transfer.count_via_matrix(automaton, n) for n in below_window),
         transfer._path_counts(automaton),
     )
-    # both recurrence sources start at n = 1
-    rec_column = repeat(None) if rec is None else recurrence._term_iter(rec)
+    rec_column = repeat(None)
+    if rec is not None:
+        rec_column = chain(repeat(None, rec.offset - 1), recurrence._term_iter(rec))
     rows = []
     for n, enumerated, matrix, rec_value in zip(
         range(1, args.n_max + 1), counts, matrix_column, rec_column

@@ -3,12 +3,11 @@
 The spaced family with gap m over k symbols satisfies
 a(n) = a(n-1) + (k-1) * a(n-m-1) with a(n) = 1 + n(k-1) for n <= m+1.
 This module evaluates such recurrences exactly, at large n by powering x
-modulo the characteristic polynomial, checks them against
-independently computed counts, infers a least-order integer recurrence
-from raw counts by one exact Berlekamp-Massey pass, proves the minimal
-recurrence of counts known to obey one of bounded order by a pass modulo
-a prime, and carries the cumulative-sum recurrence of the three-symbol
-space with 11 and 22 forbidden.
+modulo the characteristic polynomial, and checks them against independently
+computed counts.  One Berlekamp-Massey pass modulo a prime, lifted and
+checked exactly, finds the minimal recurrence of counts, trailing zero
+coefficients as the offset.  The cumulative-sum recurrence of the
+three-symbol space with 11 and 22 forbidden is here too.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from itertools import islice
-from math import gcd
 from operator import mul
 
 from .core import CountSequence, TmkParams, _require_int, _Value
@@ -194,46 +192,12 @@ def verify_recurrence(rec: LinearRecurrence, counts: CountSequence) -> Recurrenc
     return RecurrenceCheck(status=status, terms_checked=hi - lo + 1)
 
 
-def _berlekamp_massey(terms: tuple[int, ...], max_length: int) -> tuple[list[int], int]:
-    """Shortest linear recurrence of terms over the rationals (Massey 1969).
-
-    Returns (connection, length): a primitive integer multiple of the
-    connection polynomial, which annihilates every length + 1 consecutive
-    terms, and its length.  Integers with the content divided out run
-    several times faster than Fractions.  The length never falls, so the
-    pass stops once it exceeds max_length.
-    """
-    connection = [1]
-    previous = [1]  # the connection before the last length change
-    previous_discrepancy = 1
-    length = 0
-    gap = 1  # terms read since that change
-    for n in range(len(terms)):
-        discrepancy = sum(c * terms[n - j] for j, c in enumerate(connection))
-        if discrepancy:
-            # the rational update times previous_discrepancy * connection[0]
-            updated = [previous_discrepancy * c for c in connection]
-            updated += [0] * (len(previous) + gap - len(connection))
-            for j, b in enumerate(previous):
-                updated[j + gap] -= discrepancy * b
-            if 2 * length <= n:
-                previous, previous_discrepancy = connection, discrepancy
-                length, gap = n + 1 - length, 0
-            content = gcd(*updated)
-            connection = [c // content for c in updated]
-            if length > max_length:
-                break
-        gap += 1
-    return connection, length
-
-
 def _berlekamp_massey_mod(terms: tuple[int, ...], modulus: int) -> tuple[list[int], int]:
     """Shortest linear recurrence of terms modulo a prime (Massey 1969).
 
-    Returns (connection, length) as _berlekamp_massey does, with
-    connection[0] = 1 and every entry reduced modulo the prime.  Residues of
-    a word or two keep each product cheap where the integer pass carries
-    ever longer numerators.
+    Returns (connection, length): connection[0] = 1, every entry is reduced
+    modulo the prime, and it annihilates every length + 1 consecutive terms.
+    Residues of a word or two keep each product cheap.
     """
     backwards = [t % modulus for t in reversed(terms)]
     last = len(terms) - 1
@@ -261,30 +225,32 @@ def _berlekamp_massey_mod(terms: tuple[int, ...], modulus: int) -> tuple[list[in
 
 
 def _proven_recurrence(terms: tuple[int, ...]) -> LinearRecurrence | None:
-    """The minimal recurrence of a(0), a(1), ... proven on the given terms, or None.
+    """The minimal recurrence of a(0), a(1), ... checked on all N terms, or None.
 
-    terms are the first 2s + 2 values of a sequence known to satisfy some
-    recurrence of order at most s from n = 0 on.  One Berlekamp-Massey pass
-    modulo 2^61 - 1 gives a length L <= s, and its coefficients, lifted to
-    the symmetric range, are kept only when they reproduce every term
-    exactly.  That check is the proof: the sequence minus the recurrence's
-    right-hand side obeys the order-s recurrence too and vanishes on the
-    2s + 2 - L > s consecutive indices L..2s+1, so it vanishes for ever.
-    None means no proof: the pass ran past length s, a true coefficient
-    lies outside (-2^60, 2^60), or the prime divided a discrepancy.
+    A Berlekamp-Massey pass modulo 2^61 - 1 gives a length L.  Its lift to
+    the symmetric range is kept when 0 < L <= (N - 2) / 2 and it reproduces
+    every term; it is then the only shortest recurrence over the rationals
+    (Massey 1969), which is all infer_recurrence needs.  One of length
+    L' < L, scaled to primitive integers with its first j coefficients, from
+    that of a(n), divisible by the prime, would give length at most L' - j
+    modulo the prime on the first N - j terms, and a length change over the
+    last j would reach N + 1 - L' > L.
 
-    j trailing zero coefficients are a root 0 of multiplicity j, which only
-    delays the shorter recurrence, so it is returned with offset j.  A
-    sequence that is 0 from L on has no such recurrence; callers rule it
-    out by a nonzero last term.
+    count_blocks passes the first 2s + 2 counts of a sequence known to obey
+    a recurrence of order at most s from n = 0 on: the sequence minus the
+    lift's right-hand side obeys that one too and vanishes on the
+    2s + 2 - L > s indices L..2s+1, so for ever.  None means no proof: L is
+    0 or past (N - 2) / 2, a true coefficient lies outside (-2^60, 2^60),
+    or the prime divided a discrepancy.  j trailing zero coefficients, a
+    root 0 of multiplicity j, delay the shorter recurrence to offset j.  A
+    sequence that is 0 from L on gives None.
     """
     connection, length = _berlekamp_massey_mod(terms, _MODULUS)
     if not 0 < length <= (len(terms) - 2) // 2:
         return None
-    connection += [0] * (length + 1 - len(connection))
     half = _MODULUS // 2
-    lifted = [-c % _MODULUS for c in connection[1 : length + 1]]
-    coefficients = [c - _MODULUS if c > half else c for c in lifted]
+    # -c in the symmetric range; trailing zeros, listed or not, become the offset
+    coefficients = [(half - c) % _MODULUS - half for c in connection[1 : length + 1]]
     while coefficients and not coefficients[-1]:
         coefficients.pop()
     if not coefficients:
@@ -292,7 +258,7 @@ def _proven_recurrence(terms: tuple[int, ...]) -> LinearRecurrence | None:
     order = len(coefficients)
     backwards = terms[::-1]
     last = len(terms) - 1
-    # a(n) against coefficients[j-1] * a(n-j), j = 1..order, for n = L..2s+1
+    # a(n) against coefficients[j-1] * a(n-j), j = 1..order, for n = L..N-1
     if any(
         terms[n] != sum(map(mul, coefficients, backwards[last - n + 1 : last - n + 1 + order]))
         for n in range(length, len(terms))
@@ -307,12 +273,11 @@ def _proven_recurrence(terms: tuple[int, ...]) -> LinearRecurrence | None:
 def infer_recurrence(counts: CountSequence, max_order: int) -> LinearRecurrence | None:
     """Least-order integer recurrence reproducing every given count, or None.
 
-    One Berlekamp-Massey pass finds the shortest rational recurrence, which
-    is returned when its order is at most max_order, it is integral with a
-    nonzero trailing coefficient, and it regenerates the counts.  With
-    2 * max_order + 2 terms, every recurrence of order up to max_order is a
-    multiple of it, so none is integral with a nonzero trailing coefficient
-    when it is not (Gauss's lemma).
+    _proven_recurrence's lift has the least length over the rationals, its
+    order plus the j counts before it starts (offset n_min + j), and every
+    recurrence that short is a multiple of it; it is returned when that
+    length is at most max_order.  A true coefficient outside (-2^60, 2^60),
+    or the prime dividing a discrepancy, gives None.
     """
     _require_int("max_order", max_order, 1)
     terms = counts.counts
@@ -321,20 +286,10 @@ def infer_recurrence(counts: CountSequence, max_order: int) -> LinearRecurrence 
             f"need at least {2 * max_order + 2} terms to infer up to order {max_order}, "
             f"got {len(terms)}"
         )
-    connection, order = _berlekamp_massey(terms, max_order)
-    if not 1 <= order <= max_order:
+    rec = _proven_recurrence(terms)
+    if rec is None or rec.offset + rec.order > max_order:
         return None
-    lead = connection[0]
-    if len(connection) <= order or connection[order] == 0 or any(c % lead for c in connection):
-        return None
-    candidate = LinearRecurrence(
-        coefficients=tuple(-c // lead for c in connection[1:]),
-        initial_terms=terms[:order],
-        offset=counts.n_min,
-    )
-    if verify_recurrence(candidate, counts).status == "match":
-        return candidate
-    return None
+    return LinearRecurrence(rec.coefficients, rec.initial_terms, rec.offset + counts.n_min)
 
 
 def sum_recurrence_three_symbol(n_max: int) -> CountSequence:

@@ -6,9 +6,8 @@ extended by s is allowed and v is that extension with the first symbol
 dropped.  The build grows the allowed blocks one symbol at a time as base-k
 integer codes: a block is allowed exactly when its prefix and its suffix one
 shorter are and it is not itself forbidden, and those layers also count the
-blocks shorter than the window.  It shares no code with enumeration's
-depth-first search and calls its counter only for the state-cap pre-check,
-which gives no count, so the three methods stay independent checks.
+blocks shorter than the window, each within the state cap.  It imports
+nothing from enumeration, so the three methods stay independent checks.
 
 Allowed blocks of length n >= L-1 correspond one to one to paths of length
 n-L+1, so counts come from iterating the adjacency matrix over the
@@ -34,11 +33,10 @@ edges, not states^2.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain, product
+from itertools import chain, islice, product
 from operator import mul, truediv
 
 from .core import Block, ShiftSpaceSpec, _require_int, _Value, validate_spec
-from .enumeration import count_blocks
 from .errors import (
     ConvergenceError,
     EmptyShiftSpaceError,
@@ -108,21 +106,14 @@ def build_automaton(
 ) -> TransferAutomaton:
     """Block automaton over windows of length max(2, longest forbidden) - 1.
 
-    Raises ResourceLimitError when the number of allowed windows exceeds
-    max_states; they are counted only when k^(L-1) exceeds the cap.
+    Raises ResourceLimitError as soon as a layer of allowed blocks, of a
+    length up to the window, holds more than max_states.
     """
     validate_spec(spec)
     k = spec.alphabet_size
     window = max(2, spec.forbidden.max_length) - 1
-    if k**window > max_states:
-        allowed = count_blocks(spec, window)
-        if allowed > max_states:
-            raise ResourceLimitError(
-                f"the automaton would need {allowed} states (the allowed blocks of "
-                f"length {window}), over the cap of {max_states}"
-            )
     banned = _banned_codes(spec)
-    codes = _allowed_codes(k, banned, window)
+    codes = _allowed_codes(k, banned, window, max_states)
     index = {code: i for i, code in enumerate(codes)}
     shifts = [s * k**window for s in range(k)]
     banned_edges = banned.get(window + 1, set())
@@ -149,7 +140,9 @@ def _banned_codes(spec: ShiftSpaceSpec) -> dict[int, set[int]]:
     return banned
 
 
-def _allowed_codes(k: int, banned: dict[int, set[int]], length: int) -> list[int]:
+def _allowed_codes(
+    k: int, banned: dict[int, set[int]], length: int, max_states: int | None = None
+) -> list[int]:
     """The codes of the allowed blocks of a length, in lexicographic order of their blocks.
 
     A block's code has its first symbol least significant, so appending s
@@ -157,14 +150,25 @@ def _allowed_codes(k: int, banned: dict[int, set[int]], length: int) -> list[int
     division by k; an extension of an allowed block is allowed exactly when
     its suffix is in the layer before and it is not forbidden.  Each layer
     extends the one before in order, so it keeps lexicographic order.
+    A layer stops at max_states + 1 codes and raises ResourceLimitError.
     """
     codes = [0]
+    stop = None if max_states is None else max_states + 1
     for j in range(1, length + 1):
         shorter = set(codes)
         shifts = [s * k ** (j - 1) for s in range(k)]
-        codes = [g for code in codes for shift in shifts if (g := code + shift) // k in shorter]
-        if j in banned:
-            codes = [g for g in codes if g not in banned[j]]
+        forbidden = banned.get(j, ())
+        grown = (
+            g
+            for code in codes
+            for shift in shifts
+            if (g := code + shift) // k in shorter and g not in forbidden
+        )
+        codes = list(islice(grown, stop))
+        if len(codes) == stop:
+            raise ResourceLimitError(
+                f"the allowed blocks of length {j} exceed the cap of {max_states} states"
+            )
     return codes
 
 

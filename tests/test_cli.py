@@ -483,11 +483,56 @@ def test_verify_matrix_column_needs_no_counter(capsys, monkeypatch, tmp_path, fm
     expected = run_cli(capsys, *argv)
     assert expected[0] == 0
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the matrix column reached the counter")
+    walks = []
+    count_iter = enumeration._count_iter
 
-    monkeypatch.setattr(transfer, "count_blocks", refuse)
+    def counted(out):
+        walks.append(out)
+        return count_iter(out)
+
+    monkeypatch.setattr(enumeration, "_count_iter", counted)
     assert run_cli(capsys, *argv) == expected
+    # the one walk is count_sequence's, for the enumeration column
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_verify_aligns_an_inferred_recurrence_by_its_offset(capsys, tmp_path, fmt):
+    # 00 and 101 forbidden: the counts are 2, 3 and then 4 for ever, so the
+    # least recurrence is a(n) = a(n-1) from n = 3, a zero tail of length 2
+    path = tmp_path / "delayed.txt"
+    path.write_text("k=2\n00\n101\n")
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(path), "--n-max", "8", "--format", fmt)
+    assert code == 0
+    if fmt == "text":
+        lines = out.splitlines()
+        assert lines[1:4] == ["1 2 2 -", "2 3 3 -", "3 4 4 4"]
+        assert lines[-2:] == ["recurrence source: inferred (order 1)", "counts agree for n = 1..8"]
+    elif fmt == "csv":
+        assert out.splitlines()[1:4] == ["1,2,2,,true", "2,3,3,,true", "3,4,4,4,true"]
+    else:
+        document = check_schema(out, "verify")
+        assert document["recurrence"] == {
+            "order": 1,
+            "coefficients": [1],
+            "initial_terms": ["4"],
+            "offset": 3,
+            "source": "inferred",
+        }
+        assert [row["recurrence"] for row in document["rows"]] == [None, None] + ["4"] * 6
+
+
+def test_verify_infers_the_delayed_recurrence_of_forty_words(capsys):
+    # the least recurrence of this spec has order 238 and a zero tail
+    path = Path(__file__).parent / "data" / "words40.txt"
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(path), "--n-max", "600")
+    assert code == 0
+    assert time.perf_counter() - start < 10
+    assert out.splitlines()[-2:] == [
+        "recurrence source: inferred (order 238)",
+        "counts agree for n = 1..600",
+    ]
 
 
 @pytest.mark.parametrize("tmk", ["1,2", "1,5", "3,2", "3,5"])

@@ -28,7 +28,6 @@ from shiftspace import (
 from shiftspace import recurrence
 from shiftspace.core import _require_int
 from shiftspace.recurrence import (
-    _berlekamp_massey,
     _berlekamp_massey_mod,
     _proven_recurrence,
     _term_iter,
@@ -165,12 +164,26 @@ def test_infer_recurrence_none_for_factorials():
     assert infer_recurrence(counts, 4) is None
 
 
-def test_infer_recurrence_none_for_bad_start():
-    # The tail is geometric but the first term breaks every low order,
-    # including order 2 where elimination returns a zero trailing
-    # coefficient.
+def test_infer_recurrence_moves_a_bad_start_into_the_offset():
+    # The first term breaks order 1 from n = 1, and order 2 needs a zero
+    # trailing coefficient: a(n) = 2a(n-1) holds from n = 2 on, length 2.
     counts = CountSequence(counts=(5, 2, 4, 8, 16, 32), n_min=1)
-    assert infer_recurrence(counts, 2) is None
+    assert infer_recurrence(counts, 2) == LinearRecurrence(
+        coefficients=(2,), initial_terms=(2,), offset=2
+    )
+    assert infer_recurrence(CountSequence(counts=(5, 2, 4, 8, 16, 32), n_min=0), 2).offset == 1
+
+
+def test_infer_recurrence_lifts_coefficients_below_two_to_the_sixty():
+    # 2^60 - 1 is the largest coefficient the lift reaches; 2^62 is 2 modulo
+    # 2^61 - 1, so its lift fails the exact check and nothing is inferred
+    ratio = 2**60 - 1
+    counts = CountSequence(counts=tuple(ratio**n for n in range(1, 5)), n_min=1)
+    assert infer_recurrence(counts, 1) == LinearRecurrence(
+        coefficients=(ratio,), initial_terms=(ratio,), offset=1
+    )
+    counts = CountSequence(counts=tuple(2 ** (62 * n) for n in range(1, 5)), n_min=1)
+    assert infer_recurrence(counts, 1) is None
 
 
 def test_infer_recurrence_needs_enough_terms():
@@ -221,11 +234,13 @@ def _solve_exact(rows):
 
 
 def reference_infer_recurrence(counts, max_order):
-    """Per-order exact elimination: the reference infer_recurrence must equal.
+    """Per-length exact elimination: the reference infer_recurrence must equal.
 
-    For each order from 1 to max_order the full overdetermined system is
-    solved over the rationals, and the first integral solution with a
-    nonzero trailing coefficient that regenerates the counts is returned.
+    For each length from 1 to max_order the full overdetermined system is
+    solved over the rationals, and the first integral solution that is not
+    all zero and regenerates the counts is returned.  Its j trailing zero
+    coefficients move into the offset: the shorter recurrence holds from
+    the (j + 1)-th count on, so order + j is the length, at most max_order.
     """
     _require_int("max_order", max_order, 1)
     terms = counts.counts
@@ -234,19 +249,24 @@ def reference_infer_recurrence(counts, max_order):
             f"need at least {2 * max_order + 2} terms to infer up to order {max_order}, "
             f"got {len(terms)}"
         )
-    for order in range(1, max_order + 1):
+    for length in range(1, max_order + 1):
         rows = [
-            [Fraction(terms[i - j]) for j in range(1, order + 1)] + [Fraction(terms[i])]
-            for i in range(order, len(terms))
+            [Fraction(terms[i - j]) for j in range(1, length + 1)] + [Fraction(terms[i])]
+            for i in range(length, len(terms))
         ]
         solution = _solve_exact(rows)
         if solution is None or any(c.denominator != 1 for c in solution):
             continue
-        coefficients = tuple(int(c) for c in solution)
-        if coefficients[-1] == 0:
+        coefficients = [int(c) for c in solution]
+        while coefficients and coefficients[-1] == 0:
+            coefficients.pop()
+        if not coefficients:
             continue
+        zeros = length - len(coefficients)
         candidate = LinearRecurrence(
-            coefficients=coefficients, initial_terms=terms[:order], offset=counts.n_min
+            coefficients=tuple(coefficients),
+            initial_terms=terms[zeros:length],
+            offset=counts.n_min + zeros,
         )
         if verify_recurrence(candidate, counts).status == "match":
             return candidate
@@ -551,11 +571,40 @@ def test_large_index_never_walks(monkeypatch):
     assert limit_ratio(rec, 10**5) == pytest.approx(dominant_root(3, 2), rel=1e-15)
 
 
+def reference_berlekamp_massey(terms):
+    """Shortest linear recurrence of terms over the rationals (Massey 1969).
+
+    Returns (connection, length): a primitive integer multiple of the
+    connection polynomial, which annihilates every length + 1 consecutive
+    terms, and its length.
+    """
+    connection = [1]
+    previous = [1]  # the connection before the last length change
+    previous_discrepancy = 1
+    length = 0
+    gap = 1  # terms read since that change
+    for n in range(len(terms)):
+        discrepancy = sum(c * terms[n - j] for j, c in enumerate(connection))
+        if discrepancy:
+            # the rational update times previous_discrepancy * connection[0]
+            updated = [previous_discrepancy * c for c in connection]
+            updated += [0] * (len(previous) + gap - len(connection))
+            for j, b in enumerate(previous):
+                updated[j + gap] -= discrepancy * b
+            if 2 * length <= n:
+                previous, previous_discrepancy = connection, discrepancy
+                length, gap = n + 1 - length, 0
+            content = math.gcd(*updated)
+            connection = [c // content for c in updated]
+        gap += 1
+    return connection, length
+
+
 @settings(max_examples=400, deadline=None)
 @given(terms=st.one_of(_spec_counts(), _perturbed_recurrence_terms()))
 def test_modular_pass_is_the_rational_pass_modulo_the_prime(terms):
     p = 2**61 - 1
-    connection, length = _berlekamp_massey(tuple(terms), len(terms))
+    connection, length = reference_berlekamp_massey(tuple(terms))
     residues, modular_length = _berlekamp_massey_mod(tuple(terms), p)
     assert modular_length == length
     scaled = [c * pow(connection[0], -1, p) % p for c in connection]

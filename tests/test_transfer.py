@@ -28,7 +28,7 @@ from shiftspace import (
     tmk_spec,
     trim,
 )
-from shiftspace import transfer
+from shiftspace import enumeration, transfer
 from shiftspace.enumeration import _suffix_clear, _suffix_table, enumerate_blocks
 from shiftspace.transfer import TransferAutomaton, _Partition, _path_counts
 
@@ -128,10 +128,22 @@ def test_state_cap_counts_allowed_windows():
     assert abs(report.lambda0 - dominant_root(5, 20)) <= report.residual + 1e-9
 
 
-def test_state_cap_message_names_the_window_count():
+def test_state_cap_message_names_the_layer_over_it():
+    # the blocks of length 21 pass the cap of 2^20 before the 2^24 windows are built
     spec = spec_from_tuples(2, [(1,) * 25])
-    with pytest.raises(ResourceLimitError, match="16777216 states"):
+    with pytest.raises(ResourceLimitError, match="blocks of length 21 exceed the cap of 1048576"):
         build_automaton(spec)
+
+
+def test_state_cap_bounds_every_layer():
+    # every 3-block but 000 is forbidden and 1111 makes the window 3: the
+    # layers hold 2, 4 and 1 blocks, so a cap of 3 refuses the second layer
+    # although the automaton would have one state
+    words = [tuple(map(int, f"{code:03b}")) for code in range(1, 8)] + [(1, 1, 1, 1)]
+    spec = spec_from_tuples(2, words)
+    with pytest.raises(ResourceLimitError, match="blocks of length 2 exceed the cap of 3"):
+        build_automaton(spec, max_states=3)
+    assert build_automaton(spec, max_states=4).num_states == 1
 
 
 def test_out_lists(golden_spec):
@@ -282,12 +294,13 @@ def random_specs(draw):
 @given(random_specs())
 @example(spec_from_tuples(2, [(1,) * 12]))
 @example(tmk_spec(TmkParams(4, 3)))
+@example(tmk_spec(TmkParams(5, 20)))
 def test_count_via_matrix_below_the_window_needs_no_counter(spec):
-    # k^window stays within max_states, so the build's pre-check does not count either
-    automaton = build_automaton(spec)
-    expected = [count_blocks(spec, n) for n in range(automaton.window)]
-    refuse = AssertionError("count_via_matrix reached the counter")
-    with patch.object(transfer, "count_blocks", side_effect=refuse):
+    # 20^5 windows of tmk(5,20) exceed the default cap, and the build still counts nothing
+    expected = [count_blocks(spec, n) for n in range(max(2, spec.forbidden.max_length) - 1)]
+    refuse = AssertionError("the build or count_via_matrix reached the counter")
+    with patch.object(enumeration, "_count_iter", side_effect=refuse):
+        automaton = build_automaton(spec)
         assert [count_via_matrix(automaton, n) for n in range(automaton.window)] == expected
 
 
