@@ -14,7 +14,7 @@ import argparse
 import io
 import sys
 from collections.abc import Sequence
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 from . import core, design, enumeration, recurrence, spectral, transfer
@@ -184,6 +184,10 @@ def _cmd_enumerate(args) -> int:
 def _cmd_sequence(args) -> int:
     if args.three_symbol:
         counts = recurrence.sum_recurrence_three_symbol(args.n_max)
+    elif args.tmk is not None:
+        # as in count: the family's recurrence, never its forbidden set
+        core._require_int("n_max", args.n_max, 1)
+        counts = islice(recurrence._term_iter(recurrence.tmk_recurrence(args.tmk)), args.n_max)
     else:
         counts = enumeration.count_sequence(_resolve_spec(args), args.n_max)
     texts = [str(c) for c in counts]
@@ -202,21 +206,16 @@ def _cmd_entropy(args) -> int:
     spec = None
     if method in ("matrix", "both") or args.export_automaton:
         spec = _resolve_spec(args)
-    # each method keeps its own default tolerance unless --tol is given
-    tol = {} if args.tol is None else {"tol": args.tol}
+    # only the matrix method reads tol, but every method refuses a bad one
+    tol = transfer.DEFAULT_TOL if args.tol is None else args.tol
+    spectral._require_tol(tol)
     reports = []
     if method in ("poly", "both"):
-        reports.append(spectral.entropy_tmk(args.tmk.m, args.tmk.k, log_base=args.base, **tol))
+        reports.append(spectral.entropy_tmk(args.tmk.m, args.tmk.k, log_base=args.base))
     if method in ("matrix", "both"):
         # entropy_numeric's steps on one build, which the export reuses
-        matrix_tol = transfer.DEFAULT_TOL if args.tol is None else args.tol
-        spectral._require_tol(matrix_tol)
         automaton = transfer.build_automaton(spec)
-        reports.append(
-            transfer._automaton_entropy(
-                automaton, matrix_tol, args.base, transfer.DEFAULT_MAX_ITERATIONS
-            )
-        )
+        reports.append(transfer._automaton_entropy(automaton, tol, args.base))
     elif args.export_automaton:
         automaton = transfer.build_automaton(spec)
     if args.export_automaton:

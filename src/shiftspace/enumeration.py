@@ -7,7 +7,8 @@ each such tail finds its allowed extensions once per call; a prefix of
 length n - 1 takes all of its extensions at once.  The search keeps one
 path of prefixes and their siblings, and it imports nothing from the
 transfer module and does not use the counter below, so it stays an
-independent oracle for both.  Counting walks the
+independent oracle for both.  A length whose k^n candidates pass
+MAX_CANDIDATES is refused before the search.  Counting walks the
 Aho-Corasick automaton of the forbidden set (Aho & Corasick 1975).  Its
 states are the prefixes of forbidden blocks, at most the total forbidden
 length plus one, and a block is allowed exactly when reading it from the
@@ -22,7 +23,8 @@ Cayley-Hamilton the counts of a counter with s states obey a recurrence of
 order at most s, and its first 2s + 2 counts prove the minimal one.
 
 The spaced family's constructive order is built from (m, k) alone, with no
-forbidden set, search or counter, and refuses only by its own counts.
+forbidden set, search or counter, and refuses only when its own counts
+pass MAX_CANDIDATES.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .core import (
 from .errors import ResourceLimitError
 from .recurrence import _proven_recurrence, _term_iter, evaluate, tmk_recurrence
 
-DEFAULT_MAX_CANDIDATES = 2**24
+MAX_CANDIDATES = 2**24
 
 
 def _suffix_table(spec: ShiftSpaceSpec) -> dict[int, set[tuple[int, ...]]]:
@@ -69,21 +71,20 @@ def is_allowed(spec: ShiftSpaceSpec, block: Block) -> bool:
     return not any(block.contains_factor(f) for f in spec.forbidden)
 
 
-def enumerate_blocks(
-    spec: ShiftSpaceSpec, n: int, *, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> list[Block]:
+def enumerate_blocks(spec: ShiftSpaceSpec, n: int) -> list[Block]:
     """All allowed blocks of length n in lexicographic order.
 
     Raises ResourceLimitError when the candidate space k^n exceeds
-    max_candidates; counts stay available through count_blocks in that
-    regime.
+    MAX_CANDIDATES; counts stay available through count_blocks in that
+    regime.  For k >= 2, k^n >= 2^n, so a length of at least the cap's
+    bit length is refused without computing k^n.
     """
     validate_spec(spec)
     _require_int("block length", n, 0)
     k = spec.alphabet_size
-    if k**n > max_candidates:
+    if k > 1 and (n >= MAX_CANDIDATES.bit_length() or k**n > MAX_CANDIDATES):
         raise ResourceLimitError(
-            f"enumerating {k}^{n} candidate blocks exceeds the cap of {max_candidates}; "
+            f"enumerating {k}^{n} candidate blocks exceeds the cap of {MAX_CANDIDATES}; "
             "use count_blocks for counts at this length"
         )
     if n == 0:
@@ -116,9 +117,7 @@ def enumerate_blocks(
     return out
 
 
-def enumerate_blocks_constructive(
-    params: TmkParams, n: int, *, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> list[Block]:
+def enumerate_blocks_constructive(params: TmkParams, n: int) -> list[Block]:
     """Allowed blocks of the spaced family in constructive order.
 
     Lengths up to m+1 are lexicographic.  A longer length n lists the
@@ -132,10 +131,10 @@ def enumerate_blocks_constructive(
     # the counts never decrease, a(j) = a(j-1) + (k-1) * a(j-m-1), so the
     # walk can stop at the first length whose count is over the cap
     counts = chain((1,), _term_iter(tmk_recurrence(params)))
-    if any(count > max_candidates for count in islice(counts, n + 1)):
+    if any(count > MAX_CANDIDATES for count in islice(counts, n + 1)):
         raise ResourceLimitError(
             f"materializing the allowed blocks of length {n} exceeds the cap of "
-            f"{max_candidates} blocks"
+            f"{MAX_CANDIDATES} blocks"
         )
     tails = [(0,) * m + (a,) for a in range(k - 1, 0, -1)]
     # (j, suffix) on the stack, next on top, stands for the length j blocks

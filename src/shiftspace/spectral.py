@@ -56,9 +56,6 @@ class CharacteristicPolynomial(_Value):
     def value(self, x: float) -> float:
         return x ** (self.m + 1) - x**self.m - (self.k - 1)
 
-    def derivative(self, x: float) -> float:
-        return (self.m + 1) * x**self.m - self.m * x ** (self.m - 1)
-
 
 class EntropyReport(_Value):
     """A growth rate with its logarithm and provenance of the computation."""
@@ -77,7 +74,7 @@ def closed_form_root_m1(k: int) -> float:
     return (1.0 + math.sqrt(4.0 * _float_k(k) - 3.0)) / 2.0
 
 
-def dominant_root(m: int, k: int, tol: float = 1e-12) -> float:
+def dominant_root(m: int, k: int) -> float:
     """The unique root of x^(m+1) - x^m - (k-1) in (1, k], to within one ulp.
 
     One bisection on [1, k] down to adjacent floats reads the sign of
@@ -89,12 +86,10 @@ def dominant_root(m: int, k: int, tol: float = 1e-12) -> float:
     x - 1.0 are exact, so x^m (x - 1) errs by pow's error plus one rounding,
     about 2^-51 relative if pow is accurate to about one ulp, as on common
     platforms; since d ln(x^m (x - 1)) / d ln x = m + x / (x - 1) >= 2, a
-    wrong sign occurs only within about one ulp of the root.  tol is checked
-    but does not change the result.  ParameterError is raised when k lies
-    beyond float range.
+    wrong sign occurs only within about one ulp of the root.
+    ParameterError is raised when k lies beyond float range.
     """
     CharacteristicPolynomial(m, k)  # checks m and k
-    _require_tol(tol)
     lo, hi = 1.0, _float_k(k)
     c, log_c = float(k - 1), math.log(k - 1)
     mid = 0.5 * (lo + hi)
@@ -111,9 +106,9 @@ def dominant_root(m: int, k: int, tol: float = 1e-12) -> float:
     return hi
 
 
-def entropy_tmk(m: int, k: int, log_base: str = "e", tol: float = 1e-12) -> EntropyReport:
+def entropy_tmk(m: int, k: int, log_base: str = "e") -> EntropyReport:
     """Entropy of the spaced family as the log of its growth rate."""
-    root = dominant_root(m, k, tol)
+    root = dominant_root(m, k)
     try:
         residual = abs(CharacteristicPolynomial(m, k).value(root))
     except OverflowError:  # only for k near float max: p = (k-1) (x^m (x-1) / (k-1) - 1)

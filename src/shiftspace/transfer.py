@@ -6,8 +6,9 @@ extended by s is allowed and v is that extension with the first symbol
 dropped.  The build grows the allowed blocks one symbol at a time as base-k
 integer codes: a block is allowed exactly when its prefix and its suffix one
 shorter are and it is not itself forbidden, and those layers also count the
-blocks shorter than the window, each within the state cap.  It imports
-nothing from enumeration, so the three methods stay independent checks.
+blocks shorter than the window, each within the state cap MAX_STATES.
+It imports nothing from enumeration, so the three methods stay
+independent checks.
 
 Allowed blocks of length n >= L-1 correspond one to one to paths of length
 n-L+1, so counts come from iterating the adjacency matrix over the
@@ -45,8 +46,8 @@ from .errors import (
 )
 from .spectral import EntropyReport, _log, _require_tol
 
-DEFAULT_MAX_STATES = 2**20
-DEFAULT_MAX_ITERATIONS = 10**6
+MAX_STATES = 2**20
+MAX_ITERATIONS = 10**6
 DEFAULT_TOL = 1e-9
 
 
@@ -101,19 +102,17 @@ class TransferAutomaton(_Value):
         return AdjacencyMatrix(rows=tuple(tuple(row) for row in rows))
 
 
-def build_automaton(
-    spec: ShiftSpaceSpec, *, max_states: int = DEFAULT_MAX_STATES
-) -> TransferAutomaton:
+def build_automaton(spec: ShiftSpaceSpec) -> TransferAutomaton:
     """Block automaton over windows of length max(2, longest forbidden) - 1.
 
     Raises ResourceLimitError as soon as a layer of allowed blocks, of a
-    length up to the window, holds more than max_states.
+    length up to the window, holds more than MAX_STATES.
     """
     validate_spec(spec)
     k = spec.alphabet_size
     window = max(2, spec.forbidden.max_length) - 1
     banned = _banned_codes(spec)
-    codes = _allowed_codes(k, banned, window, max_states)
+    codes = _allowed_codes(k, banned, window)
     index = {code: i for i, code in enumerate(codes)}
     shifts = [s * k**window for s in range(k)]
     banned_edges = banned.get(window + 1, set())
@@ -140,9 +139,7 @@ def _banned_codes(spec: ShiftSpaceSpec) -> dict[int, set[int]]:
     return banned
 
 
-def _allowed_codes(
-    k: int, banned: dict[int, set[int]], length: int, max_states: int | None = None
-) -> list[int]:
+def _allowed_codes(k: int, banned: dict[int, set[int]], length: int) -> list[int]:
     """The codes of the allowed blocks of a length, in lexicographic order of their blocks.
 
     A block's code has its first symbol least significant, so appending s
@@ -150,10 +147,10 @@ def _allowed_codes(
     division by k; an extension of an allowed block is allowed exactly when
     its suffix is in the layer before and it is not forbidden.  Each layer
     extends the one before in order, so it keeps lexicographic order.
-    A layer stops at max_states + 1 codes and raises ResourceLimitError.
+    A layer stops at MAX_STATES + 1 codes and raises ResourceLimitError.
     """
     codes = [0]
-    stop = None if max_states is None else max_states + 1
+    stop = MAX_STATES + 1
     for j in range(1, length + 1):
         shorter = set(codes)
         shifts = [s * k ** (j - 1) for s in range(k)]
@@ -167,7 +164,7 @@ def _allowed_codes(
         codes = list(islice(grown, stop))
         if len(codes) == stop:
             raise ResourceLimitError(
-                f"the allowed blocks of length {j} exceed the cap of {max_states} states"
+                f"the allowed blocks of length {j} exceed the cap of {MAX_STATES} states"
             )
     return codes
 
@@ -414,9 +411,7 @@ def _path_counts(automaton: TransferAutomaton) -> Iterator[int]:
         weights = _step(partition.rows, weights)
 
 
-def _power_iteration(
-    out: list[list[int]], tol: float, max_iterations: int
-) -> tuple[float, float, int]:
+def _power_iteration(out: list[list[int]], tol: float) -> tuple[float, float, int]:
     """Collatz-Wielandt enclosure of the dominant eigenvalue of A + I.
 
     out lists each state's targets in column order, one entry per edge, so
@@ -427,11 +422,12 @@ def _power_iteration(
     and removes periodicity, and the enclosure brackets the dominant
     eigenvalue of a nonnegative matrix at every step.  A state that grows
     slower than the top can see its entry underflow to 0.0; the iteration
-    then ends in ConvergenceError with the last enclosure.
+    then ends in ConvergenceError with the last enclosure, as it does
+    after MAX_ITERATIONS steps.
     """
     vector = [1.0] * len(out)
     lo, hi = 0.0, float("inf")
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         entry = vector.__getitem__
         image = [own + sum(map(entry, targets)) for own, targets in zip(vector, out)]
         try:
@@ -445,10 +441,9 @@ def _power_iteration(
         top = max(image)
         vector = [value / top for value in image]
     else:
-        iteration = max_iterations
         message = (
             f"power iteration did not close the enclosure below tol={tol} "
-            f"within {max_iterations} iterations"
+            f"within {MAX_ITERATIONS} iterations"
         )
     raise ConvergenceError(
         message,
@@ -458,43 +453,33 @@ def _power_iteration(
     )
 
 
-def dominant_eigenvalue(
-    matrix: AdjacencyMatrix, tol: float = 1e-9, *, max_iterations: int = DEFAULT_MAX_ITERATIONS
-) -> float:
+def dominant_eigenvalue(matrix: AdjacencyMatrix, tol: float = DEFAULT_TOL) -> float:
     """Dominant eigenvalue of a nonnegative integer matrix."""
     _require_tol(tol)
     if matrix.size == 0:
         raise EmptyShiftSpaceError("the automaton has no states; the shift space is empty")
     # column j listed weight times, the form entropy_numeric reads off the edges
     out = [[j for j, weight in enumerate(row) for _ in range(weight)] for row in matrix.rows]
-    value, _residual, _iterations = _power_iteration(out, tol, max_iterations)
+    value, _residual, _iterations = _power_iteration(out, tol)
     return value
 
 
 def entropy_numeric(
-    spec: ShiftSpaceSpec,
-    tol: float = DEFAULT_TOL,
-    log_base: str = "e",
-    *,
-    max_states: int = DEFAULT_MAX_STATES,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    spec: ShiftSpaceSpec, tol: float = DEFAULT_TOL, log_base: str = "e"
 ) -> EntropyReport:
     """Entropy of any finite-type spec from its trimmed automaton."""
     _require_tol(tol)
-    automaton = build_automaton(spec, max_states=max_states)
-    return _automaton_entropy(automaton, tol, log_base, max_iterations)
+    return _automaton_entropy(build_automaton(spec), tol, log_base)
 
 
-def _automaton_entropy(
-    automaton: TransferAutomaton, tol: float, log_base: str, max_iterations: int
-) -> EntropyReport:
+def _automaton_entropy(automaton: TransferAutomaton, tol: float, log_base: str) -> EntropyReport:
     """entropy_numeric from an automaton already built; tol must be checked first."""
     automaton = trim(automaton)
     if automaton.num_states == 0:
         raise EmptyShiftSpaceError(
             "every state dies under trimming; the shift space is empty and entropy is undefined"
         )
-    value, residual, _iterations = _power_iteration(automaton.out_lists(), tol, max_iterations)
+    value, residual, _iterations = _power_iteration(automaton.out_lists(), tol)
     return EntropyReport(
         lambda0=value,
         entropy=_log(value, log_base),

@@ -267,7 +267,7 @@ def test_entropy_checks_tol_before_building(capsys, tmp_path, monkeypatch):
 
 
 def test_entropy_convergence_failure_exit_code(capsys, monkeypatch):
-    def stuck(m, k, log_base="e", tol=1e-12):
+    def stuck(m, k, log_base="e"):
         raise ConvergenceError("stuck", last_estimate=1.0, residual=1.0, iterations=5)
 
     monkeypatch.setattr("shiftspace.spectral.entropy_tmk", stuck)
@@ -314,6 +314,26 @@ def test_count_tmk_never_builds_the_forbidden_set(capsys, no_tmk_spec, n, expect
     code, out, _ = run_cli(capsys, "count", "--tmk", "3,300", "--n", n)
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("text", "2,3,4\n"),
+        ("csv", "n,count\n1,2\n2,3\n3,4\n"),
+        ("json", '{"command": "sequence", "n_min": 1, "n_max": 3, "counts": ["2", "3", "4"]}\n'),
+    ],
+)
+def test_sequence_tmk_never_builds_the_forbidden_set(capsys, no_tmk_spec, fmt, expected):
+    # tmk(3,300) has 268,203 forbidden blocks, and tmk(100000,2) has 10^5
+    # of up to 100001 symbols; the family's recurrence needs neither
+    code, out, _ = run_cli(capsys, "sequence", "--tmk", "100000,2", "--n-max", "3", "--format", fmt)
+    assert (code, out) == (0, expected)
+    code, out, _ = run_cli(capsys, "sequence", "--tmk", "3,300", "--n-max", "4", "--format", fmt)
+    assert code == 0 and "1197" in out
+    code, out, err = run_cli(capsys, "sequence", "--tmk", "3,300", "--n-max", "0", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "shiftspace: error: n_max must be an integer >= 1, got 0\n"
 
 
 @pytest.mark.parametrize(

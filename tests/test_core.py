@@ -1,10 +1,12 @@
 import copy
+import inspect
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shiftspace
 from conftest import brute_force_blocks, spec_from_tuples
 from shiftspace import (
     Block,
@@ -321,3 +323,18 @@ def test_loaded_spec_counts_match_oracle(tmp_path):
     spec = load_spec_file(path)
     for n in range(0, 5):
         assert len(enumerate_blocks(spec, n)) == len(brute_force_blocks(3, [(1, 1), (2, 2)], n))
+
+
+def test_caps_are_module_constants_and_no_function_takes_one():
+    # each cap is read at call time from its module, so no public function
+    # takes one, and the root finders take no tolerance they would ignore
+    caps = {"max_states", "max_iterations", "max_candidates"}
+    for name in shiftspace.__all__:
+        value = getattr(shiftspace, name)
+        if inspect.isfunction(value):
+            assert caps.isdisjoint(inspect.signature(value).parameters), name
+    for name in ("dominant_root", "entropy_tmk"):
+        assert "tol" not in inspect.signature(getattr(shiftspace, name)).parameters, name
+    assert not hasattr(shiftspace.CharacteristicPolynomial, "derivative")
+    assert (shiftspace.transfer.MAX_STATES, shiftspace.transfer.MAX_ITERATIONS) == (2**20, 10**6)
+    assert shiftspace.enumeration.MAX_CANDIDATES == 2**24

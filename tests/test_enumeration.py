@@ -274,16 +274,38 @@ def test_length_validation(golden_spec):
         count_blocks(golden_spec, -1)
 
 
-def test_enumeration_resource_guard(golden_spec):
+def test_enumeration_resource_guard(golden_spec, monkeypatch):
     with pytest.raises(ResourceLimitError) as info:
         enumerate_blocks(FULL_SHIFT_2, 30)
     assert "count_blocks" in str(info.value)
+    monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 16)
     with pytest.raises(ResourceLimitError):
-        enumerate_blocks(golden_spec, 5, max_candidates=16)
+        enumerate_blocks(golden_spec, 5)
     assert count_blocks(FULL_SHIFT_2, 30) == 2**30
 
 
-def test_constructive_refuses_over_the_cap_without_its_count():
+def test_enumeration_refuses_a_long_length_without_its_candidate_count():
+    # 3^(10^8) has about 4.8e7 digits; a length of at least the cap's bit
+    # length is refused before k^n is computed, with the same message
+    spec = tmk_spec(TmkParams(1, 3))
+    with pytest.raises(ResourceLimitError, match=r"^enumerating 3\^100000000 candidate blocks"):
+        enumerate_blocks(spec, 10**8)
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (4, 2), (16, 1)])
+def test_enumeration_allows_a_candidate_space_equal_to_the_cap(monkeypatch, k, n):
+    monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 16)
+    assert len(enumerate_blocks(ShiftSpaceSpec(k), n)) == 16
+    with pytest.raises(ResourceLimitError):
+        enumerate_blocks(ShiftSpaceSpec(k), n + 1)
+
+
+def test_enumeration_never_refuses_one_symbol(monkeypatch):
+    monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 1)
+    assert enumerate_blocks(ShiftSpaceSpec(1), 100) == [Block((0,) * 100)]
+
+
+def test_constructive_refuses_over_the_cap_without_its_count(monkeypatch):
     # a(200000) of the golden mean space has 41798 digits; the refusal
     # names the cap, never the count
     with pytest.raises(ResourceLimitError) as info:
@@ -292,9 +314,11 @@ def test_constructive_refuses_over_the_cap_without_its_count():
         "materializing the allowed blocks of length 200000 exceeds the cap of 16777216 blocks"
     )
     # a(5) = 13 is the first count over a cap of 12
+    monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 12)
     with pytest.raises(ResourceLimitError):
-        enumerate_blocks_constructive(TmkParams(1, 2), 5, max_candidates=12)
-    assert len(enumerate_blocks_constructive(TmkParams(1, 2), 5, max_candidates=13)) == 13
+        enumerate_blocks_constructive(TmkParams(1, 2), 5)
+    monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 13)
+    assert len(enumerate_blocks_constructive(TmkParams(1, 2), 5)) == 13
 
 
 def test_constructive_order_golden_mean():
@@ -360,9 +384,10 @@ def test_constructive_seed_lengths_are_lexicographic():
         assert enumerate_blocks_constructive(params, n) == enumerate_blocks(spec, n)
 
 
-def test_constructive_resource_guard():
+def test_constructive_resource_guard(monkeypatch):
+    monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 100)
     with pytest.raises(ResourceLimitError):
-        enumerate_blocks_constructive(TmkParams(1, 2), 40, max_candidates=100)
+        enumerate_blocks_constructive(TmkParams(1, 2), 40)
 
 
 def test_constructive_needs_neither_the_forbidden_set_nor_the_search_nor_the_counter(monkeypatch):
@@ -374,6 +399,8 @@ def test_constructive_needs_neither_the_forbidden_set_nor_the_search_nor_the_cou
     monkeypatch.setattr(core, "tmk_spec", refuse)
     for name in ("enumerate_blocks", "_successor_lists", "_count_iter"):
         monkeypatch.setattr(enumeration, name, refuse)
+    # the lexicographic search below meets up to 5^12 candidates
+    monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 5**12)
     for m in range(1, 5):
         for k in range(2, 6):
             params = TmkParams(m, k)
@@ -381,7 +408,7 @@ def test_constructive_needs_neither_the_forbidden_set_nor_the_search_nor_the_cou
             orders = {}
             for n in range(13):
                 constructive = orders[n] = blocks_to_tuples(enumerate_blocks_constructive(params, n))
-                lex = blocks_to_tuples(lex_order(spec, n, max_candidates=k**n))
+                lex = blocks_to_tuples(lex_order(spec, n))
                 assert sorted(constructive) == lex
                 if n <= m + 1:
                     assert constructive == lex

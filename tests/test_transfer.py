@@ -79,7 +79,8 @@ def reference_build(spec):
     search for the states and its suffix check for the edges."""
     k = spec.alphabet_size
     window = max(2, spec.forbidden.max_length) - 1
-    states = tuple(enumerate_blocks(spec, window, max_candidates=k**window))
+    with patch.object(enumeration, "MAX_CANDIDATES", k**window):
+        states = tuple(enumerate_blocks(spec, window))
     index = {state.symbols: i for i, state in enumerate(states)}
     table = _suffix_table(spec)
     edges = []
@@ -108,15 +109,17 @@ def test_build_equals_reference_build_examples(spec):
     assert build_automaton(spec) == reference_build(spec)
 
 
-def test_build_state_cap(golden_spec):
+def test_build_state_cap(golden_spec, monkeypatch):
     spec = ShiftSpaceSpec(
         alphabet_size=2, forbidden=spec_from_tuples(2, [(1,) * 25]).forbidden
     )
     with pytest.raises(ResourceLimitError):
         build_automaton(spec)
+    monkeypatch.setattr(transfer, "MAX_STATES", 1)
     with pytest.raises(ResourceLimitError):
-        build_automaton(golden_spec, max_states=1)
-    assert build_automaton(golden_spec, max_states=2).num_states == 2
+        build_automaton(golden_spec)
+    monkeypatch.setattr(transfer, "MAX_STATES", 2)
+    assert build_automaton(golden_spec).num_states == 2
 
 
 def test_state_cap_counts_allowed_windows():
@@ -135,15 +138,17 @@ def test_state_cap_message_names_the_layer_over_it():
         build_automaton(spec)
 
 
-def test_state_cap_bounds_every_layer():
+def test_state_cap_bounds_every_layer(monkeypatch):
     # every 3-block but 000 is forbidden and 1111 makes the window 3: the
     # layers hold 2, 4 and 1 blocks, so a cap of 3 refuses the second layer
     # although the automaton would have one state
     words = [tuple(map(int, f"{code:03b}")) for code in range(1, 8)] + [(1, 1, 1, 1)]
     spec = spec_from_tuples(2, words)
+    monkeypatch.setattr(transfer, "MAX_STATES", 3)
     with pytest.raises(ResourceLimitError, match="blocks of length 2 exceed the cap of 3"):
-        build_automaton(spec, max_states=3)
-    assert build_automaton(spec, max_states=4).num_states == 1
+        build_automaton(spec)
+    monkeypatch.setattr(transfer, "MAX_STATES", 4)
+    assert build_automaton(spec).num_states == 1
 
 
 def test_out_lists(golden_spec):
@@ -546,13 +551,14 @@ def test_dominant_eigenvalue_bad_tol(golden_spec):
         dominant_eigenvalue(matrix, tol=0.0)
 
 
-def test_power_iteration_convergence_failure():
+def test_power_iteration_convergence_failure(monkeypatch):
     # Reducible example whose enclosure stays [2, 3]: the all-zero state is
     # isolated from the dominant class, so its ratio never rises.
     spec = spec_from_tuples(3, [(0, 1), (1, 0), (0, 2), (2, 0)])
     matrix = build_automaton(spec).adjacency_matrix()
+    monkeypatch.setattr(transfer, "MAX_ITERATIONS", 2000)
     with pytest.raises(ConvergenceError) as info:
-        dominant_eigenvalue(matrix, tol=1e-9, max_iterations=2000)
+        dominant_eigenvalue(matrix, tol=1e-9)
     err = info.value
     assert err.iterations == 2000
     assert err.last_estimate == pytest.approx(1.5, abs=1e-12)
@@ -584,10 +590,10 @@ def reference_power_iteration(rows, tol, max_iterations):
     )
 
 
-def power_outcome(loop, rows, tol, max_iterations):
+def power_outcome(loop, *args):
     """The triple a loop returns, or the message and fields of its ConvergenceError."""
     try:
-        return loop(rows, tol, max_iterations)
+        return loop(*args)
     except ConvergenceError as err:
         return str(err), err.last_estimate, err.residual, err.iterations
 
@@ -619,7 +625,8 @@ def test_power_iteration_equals_weighted_loop(inputs):
     if not out:
         return  # every state died; both public callers refuse before iterating
     rows = [[(j, 1) for j in targets] for targets in out]
-    new = power_outcome(transfer._power_iteration, out, tol, max_iterations)
+    with patch.object(transfer, "MAX_ITERATIONS", max_iterations):
+        new = power_outcome(transfer._power_iteration, out, tol)
     try:
         assert new == power_outcome(reference_power_iteration, rows, tol, max_iterations)
     except ZeroDivisionError:
