@@ -30,7 +30,7 @@ from shiftspace import (
 )
 from shiftspace import enumeration, transfer
 from shiftspace.enumeration import _suffix_clear, _suffix_table, enumerate_blocks
-from shiftspace.transfer import TransferAutomaton, _Partition, _path_counts
+from shiftspace.transfer import TransferAutomaton, _lumped, _Partition, _path_counts
 
 from conftest import spec_from_tuples
 
@@ -525,6 +525,52 @@ def test_short_walk_pays_for_two_rounds(monkeypatch):
     assert len(rounds) == 2
 
 
+@pytest.mark.parametrize(
+    ("m", "k"), [*((m, k) for m in (1, 2, 3) for k in (2, 3, 4, 5)), (100, 20)]
+)
+def test_spaced_family_lumps_into_m_plus_one_classes(m, k):
+    automaton = trim(build_automaton(tmk_spec(TmkParams(m, k))))
+    assert automaton.num_states == 1 + m * (k - 1)
+    _classes, rows = _lumped(automaton.out_lists())
+    assert len(rows) == m + 1
+
+
+@pytest.mark.parametrize("length", [6, 8, 10, 12])
+def test_run_of_ones_lumps_into_one_class_per_trailing_count(length):
+    automaton = trim(build_automaton(spec_from_tuples(2, [(1,) * length])))
+    assert automaton.num_states == 2 ** (length - 1)
+    classes, rows = _lumped(automaton.out_lists())
+    assert len(rows) == length
+    # the classes are the windows' numbers of trailing ones, 0 to length - 1
+    assert len(set(zip(map(trailing_ones, automaton.states), classes))) == length
+
+
+def assert_lumping_is_equitable(out):
+    """Every state of a class lists its class's row, and no two rows are equal."""
+    classes, rows = _lumped(out)
+    assert sorted(set(classes)) == list(range(len(rows)))
+    for u, targets in enumerate(out):
+        assert Counter(classes[v] for v in targets) == Counter(rows[classes[u]])
+    assert len(set(rows)) == len(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_specs())
+def test_lumping_is_equitable_on_spec_automata(spec):
+    automaton = build_automaton(spec)
+    assert_lumping_is_equitable(automaton.out_lists())
+    assert_lumping_is_equitable(trim(automaton).out_lists())
+
+
+@settings(max_examples=300, deadline=None)
+@given(untrimmed_automata())
+@example(synthetic_automaton(0, []))
+@example(synthetic_automaton(3, []))  # isolated states only
+@example(synthetic_automaton(3, [(0, 2, 0), (0, 2, 1), (1, 2, 0), (1, 2, 1)]))  # a doubled edge
+def test_lumping_is_equitable_on_synthetic_automata(automaton):
+    assert_lumping_is_equitable(automaton.out_lists())
+
+
 def test_dominant_eigenvalue_golden(golden_spec):
     matrix = build_automaton(golden_spec).adjacency_matrix()
     assert abs(dominant_eigenvalue(matrix, tol=1e-12) - PHI) < 1e-11
@@ -566,13 +612,13 @@ def test_power_iteration_convergence_failure(monkeypatch):
 
 
 def reference_power_iteration(rows, tol, max_iterations):
-    """The weighted loop _power_iteration used to run, over (column, weight) pairs."""
+    """The weighted loop over every state, (column, weight) pairs, each row sum rounded once."""
     size = len(rows)
     vector = [1.0] * size
     lo, hi = 0.0, float("inf")
     for iteration in range(1, max_iterations + 1):
         image = [
-            vector[i] + sum(weight * vector[j] for j, weight in row)
+            vector[i] + math.fsum(weight * vector[j] for j, weight in row)
             for i, row in enumerate(rows)
         ]
         ratios = [image[i] / vector[i] for i in range(size)]
@@ -620,6 +666,8 @@ def power_iteration_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(power_iteration_inputs())
 @example((trim(build_automaton(UNDERFLOW_SPEC)).out_lists(), 1e-9, 3000))
+@example((trim(build_automaton(spec_from_tuples(2, [(1,) * 10]))).out_lists(), 1e-12, 3000))
+@example(([[0, 0, 2], [2, 0, 0], [1]], 1e-12, 3000))  # rows that list column 0 twice
 def test_power_iteration_equals_weighted_loop(inputs):
     out, tol, max_iterations = inputs
     if not out:
