@@ -14,8 +14,27 @@ from shiftspace import (
     entropy_table,
     entropy_tmk,
 )
+from shiftspace.spectral import _newton_guess, _root_from_guess
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def reference_dominant_root(m, k):
+    """One bisection on [1, k] down to adjacent floats, on dominant_root's sign test."""
+    lo, hi = 1.0, float(k)
+    c, log_c = float(k - 1), math.log(k - 1)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        try:
+            above = mid**m * (mid - 1.0) >= c
+        except OverflowError:
+            above = m * math.log(mid) + math.log(mid - 1.0) >= log_c
+        if above:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 def test_polynomial_values():
@@ -88,6 +107,57 @@ def test_dominant_root_within_one_ulp_of_the_exact_float_threshold(m_k):
     below = math.nextafter(root, 0.0)
     assert _exact_sign(m, k, math.nextafter(below, 0.0)) < 0
     assert _exact_sign(m, k, math.nextafter(root, math.inf)) >= 0
+
+
+def test_dominant_root_equals_the_reference_bisection_on_a_full_grid():
+    for m in range(1, 41):
+        for k in range(2, 201):
+            assert dominant_root(m, k) == reference_dominant_root(m, k), (m, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(1, 10**7), st.integers(2, 2**1023)),
+        # k near float max: x^m overflows near the root, so the log form decides
+        st.tuples(st.integers(2, 10**5), st.integers(2**1000, 2**1023)),
+    )
+)
+def test_dominant_root_equals_the_reference_bisection(m_k):
+    m, k = m_k
+    assert dominant_root(m, k) == reference_dominant_root(m, k)
+
+
+@pytest.mark.parametrize(
+    "m, k",
+    [(1, 2), (1, 3), (3, 9), (7, 50), (2000, 1000), (2000, 10**308), (10**6, 2), (1, 10**26), (5, 2**1023)],
+)
+def test_bracket_grows_from_any_guess_to_the_reference_pair(m, k):
+    # guesses at both ends of [1, k], far below and far above the root, and
+    # at its neighbours, so the bracket grows down, grows up or is adjacent
+    root = reference_dominant_root(m, k)
+    guesses = [
+        1.0,
+        math.nextafter(1.0, math.inf),
+        1.0 + (root - 1.0) * 1e-9,
+        math.nextafter(math.nextafter(root, 0.0), 0.0),
+        math.nextafter(root, 0.0),
+        root,
+        math.nextafter(root, math.inf),
+        root + (float(k) - root) * 1e-9,
+        0.5 * (root + float(k)),
+        float(k),
+    ]
+    for guess in guesses:
+        assert _root_from_guess(m, k, guess) == root, guess
+
+
+def test_newton_guess_lands_within_a_few_ulps_on_the_design_grid():
+    # 3 ulps at most here, so the bracket closes after a few sign tests
+    for m in range(1, 5):
+        for k in range(2, 61):
+            root = dominant_root(m, k)
+            assert abs(_newton_guess(m, math.log(k - 1)) - root) <= 8 * math.ulp(root)
 
 
 def test_dominant_root_returns_a_float_root_exactly():
