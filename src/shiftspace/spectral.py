@@ -33,13 +33,13 @@ def _require_tol(tol) -> None:
         raise ParameterError(f"tol must be a positive number, got {tol!r}")
 
 
-def _float_k(k: int) -> float:
-    """k as a float; ParameterError when it lies beyond float range."""
+def _float(name: str, value: int) -> float:
+    """A parameter as a float; ParameterError when it lies beyond float range."""
     try:
-        return float(k)
+        return float(value)
     except OverflowError:
         raise ParameterError(
-            f"k lies beyond float range (k >= 2^{k.bit_length() - 1}), "
+            f"{name} lies beyond float range ({name} >= 2^{value.bit_length() - 1}), "
             "so its growth rate cannot be computed in floats"
         ) from None
 
@@ -72,7 +72,7 @@ class EntropyReport(_Value):
 def closed_form_root_m1(k: int) -> float:
     """Root of x^2 - x - (k-1) in (1, k], available only for m = 1."""
     _require_int("k", k, 2)
-    return (1.0 + math.sqrt(4.0 * _float_k(k) - 3.0)) / 2.0
+    return (1.0 + math.sqrt(4.0 * _float("k", k) - 3.0)) / 2.0
 
 
 def _at_or_above(x: float, m: int, c: float, log_c: float) -> bool:
@@ -92,7 +92,7 @@ def _newton_guess(m: int, log_c: float) -> float:
     lower u.  e^u never exceeds its start, below sqrt(k - 1), so nothing
     overflows.
     """
-    u = log_c / (m + 1)
+    u = log_c / (m + 1.0)
     while True:
         t = math.exp(u)
         step = (m * math.log1p(t) + u - log_c) / (m * t / (1.0 + t) + 1.0)
@@ -149,11 +149,12 @@ def dominant_root(m: int, k: int) -> float:
     relative if pow is accurate to about one ulp, as on common platforms;
     since d ln(x^m (x - 1)) / d ln x = m + x / (x - 1) >= 2, a wrong sign
     occurs only within about one ulp of the root.  ParameterError is raised
-    when k lies beyond float range.
+    when m or k lies beyond float range.
     """
     _require_int("m", m, 1)
     _require_int("k", k, 2)
-    _float_k(k)  # before the guess, whose e^u could overflow past float range
+    _float("m", m)  # the guess and the log-form sign test read m as a float
+    _float("k", k)  # before the guess, whose e^u could overflow past float range
     return _root_from_guess(m, k, _newton_guess(m, math.log(k - 1)))
 
 

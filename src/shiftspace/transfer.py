@@ -11,26 +11,22 @@ It imports nothing from enumeration, so the three methods stay
 independent checks.
 
 Allowed blocks of length n >= L-1 correspond one to one to paths of length
-n-L+1, so counts come from iterating the adjacency matrix over the
-integers.  The iteration runs on the quotient of the automaton by its
-coarsest equitable partition: every state of a class has the same number of
-edges into each class, so the number of paths of a given length from a
-state depends only on its class, and each count is a sum of class size
-times class weight, exact and with no float step.  Like an amalgamation
-(Lind and Marcus 1995, section 2.4), the quotient keeps every path count;
-the 2^11 states of the automaton of 1^12 fall into 12 classes.  The
-partition is refined one round per count, and a round re-signs only the
-predecessors of the states whose class changed in the round before, since
-no other state's successor classes can have changed (Cardon and Crochemore
-1982; Paige and Tarjan 1987).  Once a round splits nothing, the remaining
-steps either walk the quotient or power its class edge-count matrix by
-squaring, whichever the operation counts say is cheaper.  Entropy comes
-from the dominant eigenvalue of the trimmed automaton, computed by power
-iteration with a Collatz-Wielandt enclosure.  It first merges states with
-equal successor lists until no two are equal, then steps over the merged
-classes' out-lists, one entry per edge, so a step costs the merged edges,
-not states^2; each row sum is rounded once by math.fsum, so the merged
-iteration gives the full automaton's bits.
+n-L+1, and entropy is the logarithm of the dominant eigenvalue of the
+trimmed automaton.  Both are read off one quotient: states with equal
+successor lists are merged, pass after pass, until no two are equal.  The
+classes form an equitable partition, an amalgamation (Lind and Marcus 1995,
+section 2.4): every state of a class has the same number of edges into
+each class, so a vector constant on the classes stays so under the
+adjacency matrix.  The 2^11 states of the automaton of 1^12 fall into 12
+classes, those of tmk(m, k) into m + 1.  Counts start from the all-ones
+weights: the number of paths of a given length from a state depends only
+on its class, and each count is a sum of class size times class weight,
+exact and with no float step; the steps either walk the quotient or power
+its class edge-count matrix by squaring, whichever the operation counts say
+is cheaper.  Entropy comes from power iteration with a Collatz-Wielandt
+enclosure over the classes' out-lists, one entry per edge, so a step costs
+the merged edges, not states^2; each row sum is rounded once by math.fsum,
+so the merged iteration gives the full automaton's bits.
 """
 
 from __future__ import annotations
@@ -261,11 +257,10 @@ def trim(automaton: TransferAutomaton) -> TransferAutomaton:
 def count_via_matrix(automaton: TransferAutomaton, n: int) -> int:
     """Exact count of allowed blocks of length n via path counting.
 
-    The paths are counted on the quotient of the automaton by its coarsest
-    equitable partition, which is refined one round per step until it is
-    stable; the remaining steps then walk the quotient or power its
-    edge-count matrix, whichever _squares finds cheaper.  The count is
-    exact, since the path counts from a state depend only on its class.
+    The paths are counted on the classes of _quotient from the all-ones
+    weights, walking them or powering their edge-count matrix, whichever
+    _squares finds cheaper.  The count is exact, since the path counts
+    from a state depend only on its class.
     Lengths below the window are counted by the build's own layers; the
     automaton must be untrimmed, because trimming drops finite blocks that
     do not extend forever.
@@ -275,76 +270,8 @@ def count_via_matrix(automaton: TransferAutomaton, n: int) -> int:
         raise ParameterError("block counting needs the untrimmed automaton")
     if n < automaton.window:
         return len(_allowed_codes(automaton.spec.alphabet_size, _banned_codes(automaton.spec), n))
-    steps = n - automaton.window
-    partition = _Partition(automaton.out_lists())
-    weights = [1] * len(partition.rows)
-    for taken in range(steps):
-        if not partition.refine():
-            return _stable_count(partition.sizes, partition.rows, weights, steps - taken)
-        weights = _step(partition.rows, weights)
-    return sum(map(mul, partition.sizes, weights))
-
-
-class _Partition:
-    """Classes of an automaton's states, refined toward the coarsest equitable partition.
-
-    classes[u] is the class of state u and sizes[c] the number of states in
-    class c.  rows[c] lists, sorted, the classes before the last round of
-    the successors of any state of c: after j rounds the number of paths of
-    length j from a state depends only on its class, and rows is the
-    quotient step from the weights of length j - 1 to those of length j.
-
-    A round splits every class by its states' successor classes, as a full
-    round of refinement would, but the first round alone signs every
-    state; a later one signs only the predecessors of the states that moved
-    to a new class in the round before (Cardon and Crochemore 1982), since
-    every other state has the successor classes it had then.  So the
-    unsigned states of a class stay together under their old row, which no
-    signed state shares: a signed state has a successor in a class newer
-    than every class in that row.  The unsigned states keep the class
-    number and each part of signed states takes a new number at the end;
-    when every state of a class was signed, its largest part keeps the
-    number, so the first round moves as few states as it can.
-    """
-
-    def __init__(self, out: list[list[int]]):
-        self.out = out
-        self.classes = [0] * len(out)
-        self.sizes = [len(out)] if out else []
-        self.rows: list[tuple[int, ...]] = [()] * len(self.sizes)
-        self.moved: list[int] | None = None
-        self.predecessors: list[list[int]] = [[] for _ in out]
-        for u, targets in enumerate(out):
-            for v in targets:
-                self.predecessors[v].append(u)
-
-    def refine(self) -> bool:
-        """Runs one round; returns whether a class split."""
-        out, classes, sizes, rows = self.out, self.classes, self.sizes, self.rows
-        if self.moved is None:
-            signed = range(len(out))
-        else:
-            signed = {u for v in self.moved for u in self.predecessors[v]}
-        current = classes.__getitem__
-        splits: dict[int, dict[tuple[int, ...], list[int]]] = {}
-        for u in signed:
-            row = tuple(sorted(map(current, out[u])))
-            splits.setdefault(current(u), {}).setdefault(row, []).append(u)
-        moved: list[int] = []
-        for c, parts in splits.items():
-            if sum(map(len, parts.values())) == sizes[c]:
-                rows[c] = max(parts, key=lambda row: len(parts[row]))
-                del parts[rows[c]]
-            for row, states in parts.items():
-                new = len(rows)
-                for u in states:
-                    classes[u] = new
-                sizes[c] -= len(states)
-                sizes.append(len(states))
-                rows.append(row)
-                moved.extend(states)
-        self.moved = moved
-        return bool(moved)
+    sizes, rows = _quotient(automaton)
+    return _stable_count(sizes, rows, [1] * len(rows), n - automaton.window)
 
 
 def _step(rows: list[tuple[int, ...]], weights: list[int]) -> list[int]:
@@ -354,7 +281,7 @@ def _step(rows: list[tuple[int, ...]], weights: list[int]) -> list[int]:
 
 
 def _squares(rows: list[tuple[int, ...]], steps: int) -> bool:
-    """Whether powering a stable quotient is cheaper than walking it steps times.
+    """Whether powering the quotient is cheaper than walking it steps times.
 
     A walk step adds each class's successor weights, about quotient edges
     + c operations for c classes; squaring costs about c^3 products per
@@ -367,7 +294,7 @@ def _squares(rows: list[tuple[int, ...]], steps: int) -> bool:
 def _stable_count(
     sizes: list[int], rows: list[tuple[int, ...]], weights: list[int], steps: int
 ) -> int:
-    """sizes . R^steps weights, for R the class edge-count matrix of a stable quotient.
+    """sizes . R^steps weights, for R the class edge-count matrix of an equitable quotient.
 
     R is powered by squaring, from the lowest bit of steps up, when
     _squares says so, and walked otherwise; both routes are exact.
@@ -395,23 +322,25 @@ def _path_counts(automaton: TransferAutomaton) -> Iterator[int]:
     """Yields the number of allowed blocks of length window, window+1, ...
 
     w_j[u], the number of paths of length j from state u, counts the
-    allowed blocks of length window + j that start with u; after j rounds
-    of refinement from a single class it is constant on each class, and
-    w_j sums w_(j-1) over the classes that the quotient rows list.  So each
-    count is the sum over classes of size times weight.  Refinement runs
-    one round per count and stops for good after a round that splits
-    nothing; the partition is then the coarsest equitable one (every state
-    of a class has the same number of edges into each class), and the walk
-    goes on over its quotient.
+    allowed blocks of length window + j that start with u; on the classes
+    of _quotient it is constant, and w_j sums w_(j-1) over the classes that
+    the rows list.  So each count is the sum over classes of size times
+    weight.
     """
-    partition = _Partition(automaton.out_lists())
-    weights = [1] * len(partition.rows)
-    refining = True
+    sizes, rows = _quotient(automaton)
+    weights = [1] * len(rows)
     while True:
-        yield sum(map(mul, partition.sizes, weights))
-        if refining:
-            refining = partition.refine()
-        weights = _step(partition.rows, weights)
+        yield sum(map(mul, sizes, weights))
+        weights = _step(rows, weights)
+
+
+def _quotient(automaton: TransferAutomaton) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The size and the row of each class of _lumped on the automaton's out-lists."""
+    classes, rows = _lumped(automaton.out_lists())
+    sizes = [0] * len(rows)
+    for c in classes:
+        sizes[c] += 1
+    return sizes, rows
 
 
 def _lumped(out: list[list[int]]) -> tuple[list[int], list[tuple[int, ...]]]:

@@ -374,6 +374,28 @@ def test_k_beyond_float_range_exits_one_with_a_message(capsys, no_tmk_spec, argv
     )
 
 
+M_BEYOND_FLOAT = str(10**309)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--tmk", f"{M_BEYOND_FLOAT},2"],
+        ["entropy", "--tmk", f"{M_BEYOND_FLOAT},2", "--format", "json"],
+        ["table", "--m-range", f"{M_BEYOND_FLOAT}..{M_BEYOND_FLOAT}", "--k-range", "2..2"],
+    ],
+)
+def test_m_beyond_float_range_exits_one_with_a_message(capsys, no_tmk_spec, argv):
+    # in process, so an escaping OverflowError fails the test
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "shiftspace: error: m lies beyond float range (m >= 2^1026), "
+        "so its growth rate cannot be computed in floats\n"
+    )
+
+
 def test_entropy_of_k_with_a_root_past_the_bisection_width_ends(capsys, no_tmk_spec):
     code, out, _ = run_cli(capsys, "entropy", "--tmk", f"1,{10**26}")
     assert code == 0

@@ -208,6 +208,30 @@ def test_k_beyond_float_range_is_a_parameter_error(call, k, bits):
     )
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: dominant_root(m, 2),
+        lambda m: entropy_tmk(m, 3),
+        lambda m: entropy_table(m_range=(m, m), k_range=(2, 2)),
+    ],
+)
+@pytest.mark.parametrize("m, bits", [(10**309, 1026), (2**1024, 1024), (2**1024 - 2**970, 1023)])
+def test_m_beyond_float_range_is_a_parameter_error(call, m, bits):
+    # 2^1024 - 2^970 is the least integer that float() rounds past the largest float
+    with pytest.raises(ParameterError) as info:
+        call(m)
+    assert str(info.value) == (
+        f"m lies beyond float range (m >= 2^{bits}), so its growth rate cannot be computed in floats"
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dominant_root_at_the_largest_float_m_is_the_float_above_one(k):
+    # the root lies within about 710 / m of 1, far below one ulp
+    assert dominant_root(2**1024 - 2**970 - 1, k) == 1.0 + 2.0**-52
+
+
 @pytest.mark.parametrize("m, k", [(1, 10**26), (1, 10**100), (2, 10**40), (5, 2**1023)])
 def test_dominant_root_ends_when_the_bracket_reaches_adjacent_floats(m, k):
     # roots above about 4.5e12, where two adjacent floats lie more than

@@ -30,7 +30,7 @@ from shiftspace import (
 )
 from shiftspace import enumeration, transfer
 from shiftspace.enumeration import _suffix_clear, _suffix_table, enumerate_blocks
-from shiftspace.transfer import TransferAutomaton, _lumped, _Partition, _path_counts
+from shiftspace.transfer import TransferAutomaton, _lumped, _path_counts
 
 from conftest import spec_from_tuples
 
@@ -335,31 +335,6 @@ def test_build_equals_reference_build(spec):
     assert build_automaton(spec) == reference_build(spec)
 
 
-def reference_refine(classes, out):
-    """The full round _path_counts used to run: every state signed every round.
-
-    A state's signature is its class followed by its successors' classes,
-    sorted; states share a new class exactly when they share a signature.
-    Returns the new class of every state and the signatures, one per new
-    class.  Classes are numbered by first appearance in state order, so a
-    round that splits nothing returns the numbering it was given.
-    """
-    signatures = {}
-    number = signatures.setdefault
-    current = classes.__getitem__
-    refined = [
-        number((own, *sorted(map(current, targets))), len(signatures))
-        for own, targets in zip(classes, out)
-    ]
-    return refined, list(signatures)
-
-
-def first_appearance(classes):
-    """Class numbers renamed in order of first appearance, which names a partition."""
-    names = {}
-    return [names.setdefault(c, len(names)) for c in classes]
-
-
 def dense_count(automaton, n):
     return next(islice(reference_path_counts(automaton), n - automaton.window, None))
 
@@ -398,24 +373,10 @@ def test_squaring_rule_weighs_operation_counts():
     assert transfer._squares(rows, 40)  # 64 * 6 = 384 < 400
     assert not transfer._squares(rows, 0)
     # the spaced family squares at the lengths the benchmark counts; 1^12 walks
-    tmk = _Partition(build_automaton(tmk_spec(TmkParams(3, 5))).out_lists())
-    word = _Partition(build_automaton(spec_from_tuples(2, [(1,) * 12])).out_lists())
-    for partition in (tmk, word):
-        while partition.refine():
-            pass
-    assert transfer._squares(tmk.rows, 290)
-    assert not transfer._squares(word.rows, 190)
-
-
-def coarsest_partition(out):
-    """Classes after refining until a round splits nothing, and the rounds taken."""
-    classes, rounds = [0] * len(out), 0
-    while True:
-        refined, _signatures = reference_refine(classes, out)
-        rounds += 1
-        if len(set(refined)) == len(set(classes)):
-            return refined, rounds
-        classes = refined
+    _classes, tmk = _lumped(build_automaton(tmk_spec(TmkParams(3, 5))).out_lists())
+    _classes, word = _lumped(build_automaton(spec_from_tuples(2, [(1,) * 12])).out_lists())
+    assert transfer._squares(tmk, 290)
+    assert not transfer._squares(word, 190)
 
 
 def trailing_ones(block):
@@ -426,7 +387,7 @@ def test_quotient_of_word_automaton_is_equitable():
     automaton = build_automaton(spec_from_tuples(2, [(1,) * 12]))
     assert (automaton.num_states, len(automaton.edges)) == (2048, 4095)
     out = automaton.out_lists()
-    classes, _rounds = coarsest_partition(out)
+    classes, _rows = _lumped(out)
     # the classes are the windows' numbers of trailing ones, 0 to 11
     assert len(set(classes)) == 12
     assert len(set(zip(map(trailing_ones, automaton.states), classes))) == 12
@@ -437,107 +398,25 @@ def test_quotient_of_word_automaton_is_equitable():
         assert profiles.setdefault(classes[u], profile) == profile
 
 
-def partitions_agree(automaton):
-    """Runs _Partition and full rounds side by side until both are stable.
-
-    After every round the two group the states alike, and a split-driven
-    round splits exactly when a full one does; every class's size and row
-    match its states.
-    """
-    out = automaton.out_lists()
-    partition = _Partition(out)
-    classes = [0] * len(out)
-    while True:
-        before = list(partition.classes)
-        split = partition.refine()
-        classes, signatures = reference_refine(classes, out)
-        assert first_appearance(partition.classes) == classes
-        assert split == (len(signatures) > len(set(before)))
-        assert partition.sizes == list(map(partition.classes.count, range(len(partition.rows))))
-        # a class's row names its states' successors by their classes before the round
-        for u, targets in enumerate(out):
-            row = tuple(sorted(before[v] for v in targets))
-            assert partition.rows[partition.classes[u]] == row
-        if not split:
-            return
-
-
-@settings(max_examples=300, deadline=None)
-@given(random_specs())
-def test_partition_groups_like_full_rounds_on_spec_automata(spec):
-    partitions_agree(build_automaton(spec))
-
-
-@settings(max_examples=500, deadline=None)
-@given(untrimmed_automata())
-@example(synthetic_automaton(0, []))
-@example(synthetic_automaton(3, []))
-@example(synthetic_automaton(4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)]))  # nilpotent
-@example(synthetic_automaton(3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (2, 2, 0)]))
-def test_partition_groups_like_full_rounds_on_synthetic_automata(automaton):
-    partitions_agree(automaton)
-
-
-def counting_refine(monkeypatch):
-    """Patch _Partition.refine to record each round it runs."""
-    rounds = []
-    refine = _Partition.refine
-
-    def wrapper(partition):
-        rounds.append(len(partition.rows))
-        return refine(partition)
-
-    monkeypatch.setattr(_Partition, "refine", wrapper)
-    return rounds
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        spec_from_tuples(2, [(1,) * 12]),
-        tmk_spec(TmkParams(3, 4)),
-        spec_from_tuples(3, [(0, 1), (1, 2, 2), (2, 0)]),
-        spec_from_tuples(2, [(0,), (1, 1)]),
-    ],
-)
-def test_refinement_runs_at_most_one_round_per_count(spec, monkeypatch):
-    automaton = build_automaton(spec)
-    _classes, stable_after = coarsest_partition(automaton.out_lists())
-    rounds = counting_refine(monkeypatch)
-    counts = _path_counts(automaton)
-    for yielded in range(1, 41):
-        next(counts)
-        # one round before each count after the first, none once a round split nothing
-        assert len(rounds) == min(yielded - 1, stable_after) <= yielded
-    # a single count at window + j runs the same rounds, whether it then
-    # walks the stable quotient or squares it
-    for j in range(41):
-        rounds.clear()
-        count_via_matrix(automaton, automaton.window + j)
-        assert len(rounds) == min(j, stable_after)
-
-
-def test_short_walk_pays_for_two_rounds(monkeypatch):
-    automaton = build_automaton(spec_from_tuples(2, [(1,) * 12]))
-    rounds = counting_refine(monkeypatch)
-    # of the 2^13 words of length 13, 1^13, 01^12 and 1^12 0 are forbidden
-    assert count_via_matrix(automaton, automaton.window + 2) == 2**13 - 3
-    assert len(rounds) == 2
-
-
 @pytest.mark.parametrize(
     ("m", "k"), [*((m, k) for m in (1, 2, 3) for k in (2, 3, 4, 5)), (100, 20)]
 )
-def test_spaced_family_lumps_into_m_plus_one_classes(m, k):
-    automaton = trim(build_automaton(tmk_spec(TmkParams(m, k))))
+@pytest.mark.parametrize("trimmed", [False, True])
+def test_spaced_family_lumps_into_m_plus_one_classes(m, k, trimmed):
+    automaton = build_automaton(tmk_spec(TmkParams(m, k)))
+    if trimmed:
+        automaton = trim(automaton)
     assert automaton.num_states == 1 + m * (k - 1)
     _classes, rows = _lumped(automaton.out_lists())
     assert len(rows) == m + 1
 
 
 @pytest.mark.parametrize("length", [6, 8, 10, 12])
-def test_run_of_ones_lumps_into_one_class_per_trailing_count(length):
-    automaton = trim(build_automaton(spec_from_tuples(2, [(1,) * length])))
+@pytest.mark.parametrize("trimmed", [False, True])
+def test_run_of_ones_lumps_into_one_class_per_trailing_count(length, trimmed):
+    automaton = build_automaton(spec_from_tuples(2, [(1,) * length]))
+    if trimmed:
+        automaton = trim(automaton)
     assert automaton.num_states == 2 ** (length - 1)
     classes, rows = _lumped(automaton.out_lists())
     assert len(rows) == length
