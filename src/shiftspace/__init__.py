@@ -52,7 +52,6 @@ from .recurrence import (
     verify_recurrence,
 )
 from .spectral import (
-    CharacteristicPolynomial,
     EntropyReport,
     closed_form_root_m1,
     dominant_root,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjacencyMatrix",
     "Block",
-    "CharacteristicPolynomial",
     "ConvergenceError",
     "CountSequence",
     "DesignResult",

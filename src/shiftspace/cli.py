@@ -246,13 +246,8 @@ def _cmd_verify(args) -> int:
     if args.export_automaton:
         Path(args.export_automaton).write_text(transfer.edge_list_text(automaton))
     rec, rec_source = _verify_recurrence_for(args, counts)
-    # one walk per column; paths count the blocks of length window and up,
-    # and count_via_matrix counts the shorter ones by its fallback
-    below_window = range(1, min(automaton.window, args.n_max + 1))
-    matrix_column = chain(
-        (transfer.count_via_matrix(automaton, n) for n in below_window),
-        transfer._path_counts(automaton),
-    )
+    # one walk per column; the matrix column is the count stream from n = 1
+    matrix_column = islice(transfer._path_counts(automaton), 1, None)
     rec_column = repeat(None)
     if rec is not None:
         rec_column = chain(repeat(None, rec.offset - 1), recurrence._term_iter(rec))

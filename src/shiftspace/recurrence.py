@@ -71,10 +71,22 @@ class RecurrenceCheck(_Value):
 
 
 def tmk_recurrence(params: TmkParams) -> LinearRecurrence:
-    """Counting recurrence of the spaced family with parameters (m, k)."""
+    """Counting recurrence of the spaced family with parameters (m, k).
+
+    Its coefficients and initial terms are tuples of m + 1 items, which
+    CPython caps just under sys.maxsize / 8 (2^60 on 64-bit builds) before
+    allocating; an m whose tuples cannot be built, past that cap or for want
+    of memory, is a ParameterError.  Below the cap they are built for real.
+    """
     m, k = params.m, params.k
-    coefficients = (1,) + (0,) * (m - 1) + (k - 1,)
-    initial_terms = tuple(1 + n * (k - 1) for n in range(1, m + 2))
+    try:
+        coefficients = (1,) + (0,) * (m - 1) + (k - 1,)
+        initial_terms = tuple(1 + n * (k - 1) for n in range(1, m + 2))
+    except (OverflowError, MemoryError):
+        raise ParameterError(
+            f"m is too large for a recurrence of order m + 1 (m >= 2^{m.bit_length() - 1}): "
+            "its tuples of m + 1 terms cannot be built"
+        ) from None
     return LinearRecurrence(coefficients=coefficients, initial_terms=initial_terms, offset=1)
 
 

@@ -44,20 +44,6 @@ def _float(name: str, value: int) -> float:
         ) from None
 
 
-class CharacteristicPolynomial(_Value):
-    """p(x) = x^(m+1) - x^m - (k-1) for the spaced family."""
-
-    __slots__ = ("m", "k")
-
-    def __init__(self, m: int, k: int):
-        _Value.__init__(self, m, k)
-        _require_int("m", m, 1)
-        _require_int("k", k, 2)
-
-    def value(self, x: float) -> float:
-        return x ** (self.m + 1) - x**self.m - (self.k - 1)
-
-
 class EntropyReport(_Value):
     """A growth rate with its logarithm and provenance of the computation."""
 

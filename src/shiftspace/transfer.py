@@ -5,32 +5,34 @@ least the longest forbidden block; an edge labeled s joins u to v when u
 extended by s is allowed and v is that extension with the first symbol
 dropped.  The build grows the allowed blocks one symbol at a time as base-k
 integer codes: a block is allowed exactly when its prefix and its suffix one
-shorter are and it is not itself forbidden, and those layers also count the
-blocks shorter than the window, each within the state cap MAX_STATES.
-It imports nothing from enumeration, so the three methods stay
+shorter are and it is not itself forbidden, each layer within the state cap
+MAX_STATES.  It imports nothing from enumeration, so the three methods stay
 independent checks.
 
-Allowed blocks of length n >= L-1 correspond one to one to paths of length
-n-L+1, and entropy is the logarithm of the dominant eigenvalue of the
-trimmed automaton.  Both are read off one quotient: states with equal
-successor lists are merged, pass after pass, until no two are equal.  The
-classes form an equitable partition, an amalgamation (Lind and Marcus 1995,
-section 2.4): every state of a class has the same number of edges into
-each class, so a vector constant on the classes stays so under the
-adjacency matrix.  The 2^11 states of the automaton of 1^12 fall into 12
-classes, those of tmk(m, k) into m + 1.  Counts start from the all-ones
-weights: the number of paths of a given length from a state depends only
-on its class, and each count is a sum of class size times class weight,
-exact and with no float step; the steps either walk the quotient or power
-its class edge-count matrix by squaring, whichever the operation counts say
-is cheaper.  Entropy comes from power iteration with a Collatz-Wielandt
-enclosure over the classes' out-lists, one entry per edge, so a step costs
-the merged edges, not states^2; each row sum is rounded once by math.fsum,
-so the merged iteration gives the full automaton's bits.
+One stream counts the allowed blocks of every length: below the window it
+yields the sizes of those layers, and allowed blocks of length n >= L-1
+correspond one to one to paths of length n-L+1.  Entropy is the logarithm
+of the dominant eigenvalue of the trimmed automaton.  Paths and entropy are
+read off one quotient: states with equal successor lists are merged, pass
+after pass, until no two are equal.  The classes form an equitable
+partition, an amalgamation (Lind and Marcus 1995, section 2.4): every state
+of a class has the same number of edges into each class, so a vector
+constant on the classes stays so under the adjacency matrix.  The 2^11
+states of the automaton of 1^12 fall into 12 classes, those of tmk(m, k)
+into m + 1.  Counts start from the all-ones weights: the number of paths of
+a given length from a state depends only on its class, and each count is a
+sum of class size times class weight, exact and with no float step; the
+steps either walk the quotient or power its class edge-count matrix by
+squaring, whichever the operation counts say is cheaper.  Entropy comes
+from power iteration with a Collatz-Wielandt enclosure over the classes'
+out-lists, one entry per edge, so a step costs the merged edges, not
+states^2; each row sum is rounded once by math.fsum, so the merged
+iteration gives the full automaton's bits.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 from itertools import chain, islice, product, repeat
 from math import fsum
@@ -111,7 +113,8 @@ def build_automaton(spec: ShiftSpaceSpec) -> TransferAutomaton:
     k = spec.alphabet_size
     window = max(2, spec.forbidden.max_length) - 1
     banned = _banned_codes(spec)
-    codes = _allowed_codes(k, banned, window)
+    # only the last layer is kept, so the shorter ones are freed as it grows
+    codes = deque(_layers(k, banned, window), maxlen=1).pop()
     index = {code: i for i, code in enumerate(codes)}
     shifts = [s * k**window for s in range(k)]
     banned_edges = banned.get(window + 1, set())
@@ -138,8 +141,8 @@ def _banned_codes(spec: ShiftSpaceSpec) -> dict[int, set[int]]:
     return banned
 
 
-def _allowed_codes(k: int, banned: dict[int, set[int]], length: int) -> list[int]:
-    """The codes of the allowed blocks of a length, in lexicographic order of their blocks.
+def _layers(k: int, banned: dict[int, set[int]], length: int) -> Iterator[list[int]]:
+    """Yields a layer of codes of allowed blocks for each length 0, 1, ..., length.
 
     A block's code has its first symbol least significant, so appending s
     to a block of length j adds s k^j and dropping the first symbol is
@@ -149,6 +152,7 @@ def _allowed_codes(k: int, banned: dict[int, set[int]], length: int) -> list[int
     A layer stops at MAX_STATES + 1 codes and raises ResourceLimitError.
     """
     codes = [0]
+    yield codes
     stop = MAX_STATES + 1
     for j in range(1, length + 1):
         shorter = set(codes)
@@ -165,7 +169,7 @@ def _allowed_codes(k: int, banned: dict[int, set[int]], length: int) -> list[int
             raise ResourceLimitError(
                 f"the allowed blocks of length {j} exceed the cap of {MAX_STATES} states"
             )
-    return codes
+        yield codes
 
 
 def _code(symbols: tuple[int, ...], k: int) -> int:
@@ -257,19 +261,19 @@ def trim(automaton: TransferAutomaton) -> TransferAutomaton:
 def count_via_matrix(automaton: TransferAutomaton, n: int) -> int:
     """Exact count of allowed blocks of length n via path counting.
 
-    The paths are counted on the classes of _quotient from the all-ones
-    weights, walking them or powering their edge-count matrix, whichever
-    _squares finds cheaper.  The count is exact, since the path counts
-    from a state depend only on its class.
-    Lengths below the window are counted by the build's own layers; the
-    automaton must be untrimmed, because trimming drops finite blocks that
-    do not extend forever.
+    Below the window the count is term n of _path_counts, the length of the
+    build's own layer; from the window on the paths are counted on the
+    classes of _quotient from the all-ones weights, walking them or powering
+    their edge-count matrix, whichever _squares finds cheaper.  The count
+    is exact, since the path counts from a state depend only on its class.
+    The automaton must be untrimmed, because trimming drops finite blocks
+    that do not extend forever.
     """
     _require_int("block length", n, 0)
     if automaton.trimmed:
         raise ParameterError("block counting needs the untrimmed automaton")
     if n < automaton.window:
-        return len(_allowed_codes(automaton.spec.alphabet_size, _banned_codes(automaton.spec), n))
+        return next(islice(_path_counts(automaton), n, None))
     sizes, rows = _quotient(automaton)
     return _stable_count(sizes, rows, [1] * len(rows), n - automaton.window)
 
@@ -319,14 +323,18 @@ def _stable_count(
 
 
 def _path_counts(automaton: TransferAutomaton) -> Iterator[int]:
-    """Yields the number of allowed blocks of length window, window+1, ...
+    """Yields the number of allowed blocks of length 0, 1, 2, ..., the one count stream.
 
-    w_j[u], the number of paths of length j from state u, counts the
-    allowed blocks of length window + j that start with u; on the classes
-    of _quotient it is constant, and w_j sums w_(j-1) over the classes that
-    the rows list.  So each count is the sum over classes of size times
-    weight.
+    The lengths below the window are the sizes of the build's layers, grown
+    once more from _banned_codes built once.  From the window on, w_j[u],
+    the number of paths of length j from state u, counts the allowed blocks
+    of length window + j that start with u; on the classes of _quotient,
+    computed only once the stream gets there, it is constant, and w_j sums
+    w_(j-1) over the classes that the rows list.  So each count is the sum
+    over classes of size times weight.
     """
+    spec = automaton.spec
+    yield from map(len, _layers(spec.alphabet_size, _banned_codes(spec), automaton.window - 1))
     sizes, rows = _quotient(automaton)
     weights = [1] * len(rows)
     while True:

@@ -396,6 +396,30 @@ def test_m_beyond_float_range_exits_one_with_a_message(capsys, no_tmk_spec, argv
     )
 
 
+@pytest.mark.parametrize(
+    ("m", "bits"), [pytest.param(10**309, 1026, id="10^309"), pytest.param(2**62, 62, id="2^62")]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--tmk", "{m},2", "--n", "3"],
+        ["sequence", "--tmk", "{m},2", "--n-max", "3"],
+        ["enumerate", "--tmk", "{m},2", "--n", "3", "--order", "constructive"],
+    ],
+    ids=["count", "sequence", "enumerate"],
+)
+def test_m_past_the_recurrence_tuples_exits_one_with_a_message(capsys, no_tmk_spec, argv, m, bits):
+    # in process, so an escaping OverflowError or MemoryError fails the test
+    code, out, err = run_cli(capsys, *(arg.format(m=m) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == (
+        f"shiftspace: error: m is too large for a recurrence of order m + 1 (m >= 2^{bits}): "
+        "its tuples of m + 1 terms cannot be built\n"
+    )
+
+
 def test_entropy_of_k_with_a_root_past_the_bisection_width_ends(capsys, no_tmk_spec):
     code, out, _ = run_cli(capsys, "entropy", "--tmk", f"1,{10**26}")
     assert code == 0
@@ -495,6 +519,7 @@ def test_verify_builds_and_walks_once(capsys, monkeypatch, tmp_path):
     counted(transfer, "build_automaton")
     counted(transfer, "_path_counts")
     counted(transfer, "count_via_matrix")
+    counted(transfer, "_banned_codes")
     counted(recurrence, "_term_iter")
     counted(recurrence, "evaluate")
     target = tmp_path / "edges.txt"
@@ -503,22 +528,32 @@ def test_verify_builds_and_walks_once(capsys, monkeypatch, tmp_path):
     )
     assert code == 0
     assert "counts agree for n = 1..40" in out
-    # count_via_matrix serves only n = 1, below the automaton's window of 2
+    # the count stream serves every n, n = 1 below the automaton's window of 2 too
     assert calls == {
         "count_sequence": 1,
         "build_automaton": 1,
-        "count_via_matrix": 1,
+        "_banned_codes": 2,
         "_path_counts": 1,
         "_term_iter": 1,
     }
     assert target.read_text() == transfer.edge_list_text(
         transfer.build_automaton(tmk_spec(TmkParams(2, 3)))
     )
+    # the window of 1^5 is 4: the forbidden codes are read once for the
+    # build and once for the stream's layers, not again for each n below it
+    calls.clear()
+    path = tmp_path / "ones.txt"
+    path.write_text("k=2\n11111\n")
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(path), "--n-max", "40")
+    assert code == 0
+    assert "counts agree for n = 1..40" in out
+    assert calls["_banned_codes"] == 2
+    assert "count_via_matrix" not in calls
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_verify_matrix_column_needs_no_counter(capsys, monkeypatch, tmp_path, fmt):
-    # the window of 1^5 is 4, so n = 1..3 come from count_via_matrix's own layers
+    # the window of 1^5 is 4, so n = 1..3 come from the count stream's own layers
     path = tmp_path / "ones.txt"
     path.write_text("k=2\n11111\n")
     argv = ["verify", "--spec", str(path), "--n-max", "12", "--format", fmt]

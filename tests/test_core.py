@@ -335,6 +335,5 @@ def test_caps_are_module_constants_and_no_function_takes_one():
             assert caps.isdisjoint(inspect.signature(value).parameters), name
     for name in ("dominant_root", "entropy_tmk"):
         assert "tol" not in inspect.signature(getattr(shiftspace, name)).parameters, name
-    assert not hasattr(shiftspace.CharacteristicPolynomial, "derivative")
     assert (shiftspace.transfer.MAX_STATES, shiftspace.transfer.MAX_ITERATIONS) == (2**20, 10**6)
     assert shiftspace.enumeration.MAX_CANDIDATES == 2**24

@@ -59,6 +59,21 @@ def test_tmk_recurrence_wide():
     assert tmk_recurrence(TmkParams(1, 21)).initial_terms == (21, 41)
 
 
+@pytest.mark.parametrize(
+    ("m", "bits"), [pytest.param(10**309, 1026, id="10^309"), pytest.param(2**62, 62, id="2^62")]
+)
+def test_tmk_recurrence_refuses_an_m_whose_tuples_cannot_be_built(m, bits):
+    # 10^309 terms overflow an index, and 2^62 pointers exceed what a tuple
+    # may allocate; both are refused before anything is allocated
+    message = (
+        f"m is too large for a recurrence of order m + 1 (m >= 2^{bits}): "
+        "its tuples of m + 1 terms cannot be built"
+    )
+    with pytest.raises(ParameterError) as info:
+        tmk_recurrence(TmkParams(m, 2))
+    assert str(info.value) == message
+
+
 def test_linear_recurrence_invariants():
     with pytest.raises(ParameterError):
         LinearRecurrence(coefficients=(), initial_terms=())

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftspace import (
-    CharacteristicPolynomial,
     ParameterError,
     closed_form_root_m1,
     dominant_root,
@@ -35,27 +34,6 @@ def reference_dominant_root(m, k):
             lo = mid
         mid = 0.5 * (lo + hi)
     return hi
-
-
-def test_polynomial_values():
-    poly = CharacteristicPolynomial(2, 5)
-    assert poly.value(2.0) == 0.0
-    assert poly.value(1.0) == -4.0
-
-
-def test_polynomial_validation():
-    with pytest.raises(ParameterError):
-        CharacteristicPolynomial(0, 2)
-    with pytest.raises(ParameterError):
-        CharacteristicPolynomial(1, 1)
-    with pytest.raises(ParameterError):
-        CharacteristicPolynomial(True, 2)
-
-
-def test_polynomial_at_one_counts_nonzero_symbols():
-    for m in range(1, 5):
-        for k in range(2, 8):
-            assert CharacteristicPolynomial(m, k).value(1.0) == -(k - 1)
 
 
 def test_dominant_root_frozen_values():
@@ -289,10 +267,9 @@ def test_root_bracket():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("k", [2, 3, 5, 9])
 def test_root_residual_small(m, k):
-    poly = CharacteristicPolynomial(m, k)
     root = dominant_root(m, k)
     slope = (m + 1) * root**m - m * root ** (m - 1)
-    assert abs(poly.value(root)) < 1e-10 * slope
+    assert abs(root ** (m + 1) - root**m - (k - 1)) < 1e-10 * slope
 
 
 def test_entropy_golden():

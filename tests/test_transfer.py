@@ -303,17 +303,19 @@ def random_specs(draw):
 def test_count_via_matrix_below_the_window_needs_no_counter(spec):
     # 20^5 windows of tmk(5,20) exceed the default cap, and the build still counts nothing
     expected = [count_blocks(spec, n) for n in range(max(2, spec.forbidden.max_length) - 1)]
-    refuse = AssertionError("the build or count_via_matrix reached the counter")
+    refuse = AssertionError("the build, count_via_matrix or the stream reached the counter")
     with patch.object(enumeration, "_count_iter", side_effect=refuse):
         automaton = build_automaton(spec)
         assert [count_via_matrix(automaton, n) for n in range(automaton.window)] == expected
+        assert list(islice(_path_counts(automaton), automaton.window)) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(random_specs())
 def test_path_counts_equal_dense_walk_on_spec_automata(spec):
     automaton = build_automaton(spec)
-    assert first_counts(_path_counts(automaton)) == first_counts(reference_path_counts(automaton))
+    stream = islice(_path_counts(automaton), automaton.window, None)
+    assert first_counts(stream) == first_counts(reference_path_counts(automaton))
 
 
 @settings(max_examples=500, deadline=None)
@@ -325,7 +327,8 @@ def test_path_counts_equal_dense_walk_on_spec_automata(spec):
 @example(synthetic_automaton(3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (2, 2, 0)]))  # parallel loops
 def test_path_counts_equal_dense_walk_on_synthetic_automata(automaton):
     # dead ends, self-loops, parallel edges, isolated states and no states at all
-    assert first_counts(_path_counts(automaton)) == first_counts(reference_path_counts(automaton))
+    stream = islice(_path_counts(automaton), automaton.window, None)
+    assert first_counts(stream) == first_counts(reference_path_counts(automaton))
 
 
 @settings(max_examples=300, deadline=None)

@@ -15,7 +15,6 @@ import pytest
 from shiftspace import (
     AdjacencyMatrix,
     Block,
-    CharacteristicPolynomial,
     CountSequence,
     DesignResult,
     EntropyReport,
@@ -80,13 +79,6 @@ RECORDS = [
         ("mismatch", 5, 4, 8, 9),
         ("mismatch", 5, 4, 8, 10),
         "RecurrenceCheck(status='mismatch', terms_checked=5, first_mismatch=4, expected=8, actual=9)",
-    ),
-    (
-        CharacteristicPolynomial,
-        (("m", EMPTY), ("k", EMPTY)),
-        (1, 2),
-        (1, 3),
-        "CharacteristicPolynomial(m=1, k=2)",
     ),
     (
         EntropyReport,
@@ -335,7 +327,6 @@ def test_block_ordering():
         (lambda: TmkParams(0, 1), ParameterError, "m must be an integer >= 1, got 0"),
         (lambda: TmkParams(1, 1), ParameterError, "k must be an integer >= 2, got 1"),
         (lambda: TmkParams(True, 2), ParameterError, "m must be an integer >= 1, got True"),
-        (lambda: CharacteristicPolynomial(1, 1), ParameterError, "k must be an integer >= 2, got 1"),
         (lambda: LinearRecurrence((), ()), ParameterError, "a recurrence needs at least one coefficient"),
         (
             lambda: LinearRecurrence((1,), (1, 2)),
