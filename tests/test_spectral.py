@@ -230,6 +230,31 @@ def test_dominant_root_validation():
         dominant_root(1.0, 2)
 
 
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (call, args, message)
+        for call in (dominant_root, entropy_tmk)
+        for args, message in (
+            ((0, 2), "m must be an integer >= 1, got 0"),
+            ((1, 1), "k must be an integer >= 2, got 1"),
+            ((True, 2), "m must be an integer >= 1, got True"),
+            ((1, True), "k must be an integer >= 2, got True"),
+        )
+    ]
+    + [
+        (closed_form_root_m1, (1,), "k must be an integer >= 2, got 1"),
+        (closed_form_root_m1, (True,), "k must be an integer >= 2, got True"),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_spectral_functions_name_the_bad_parameter(call, args, message):
+    # bool is an int subclass; it is refused as m or k like any non-integer
+    with pytest.raises(ParameterError) as info:
+        call(*args)
+    assert str(info.value) == message
+
+
 def test_closed_form_values():
     assert closed_form_root_m1(2) == PHI
     assert closed_form_root_m1(3) == 2.0
