@@ -100,6 +100,14 @@ def _add_format_argument(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_spec(args) -> core.ShiftSpaceSpec:
     if getattr(args, "tmk", None) is not None:
+        # a family too wide for the automaton's state cap is refused before
+        # its forbidden set is built
+        size = (args.tmk.k - 1) ** 2 * args.tmk.m
+        if size > transfer.MAX_STATES:
+            raise ResourceLimitError(
+                f"the spaced family's (k-1)^2 * m = {size} forbidden blocks exceed "
+                f"the cap of {transfer.MAX_STATES}"
+            )
         return core.tmk_spec(args.tmk)
     return core.load_spec_file(args.spec)
 

@@ -18,15 +18,20 @@ deleting an attribute raises AttributeError; pickle and copy rebuild a
 record through its constructor.
 
 ``Block._of(symbols)`` builds a block without the constructor's symbol
-check.  Only code whose symbols are a tuple of non-negative ints by
-construction calls it: enumeration's output, the automaton's window
-states, ``tmk_spec`` and ``parse_block`` after its digit check.
+check, and ``Block._many(tuples)`` builds the list of such blocks of a
+list of tuples in C-level loops.  Only code whose symbols are tuples of
+non-negative ints by construction calls them: ``_of`` for the automaton's
+window states, ``tmk_spec`` and ``parse_block`` after its digit check,
+``_many`` for enumeration's output and the kept blocks of
+``normalize_forbidden_set``.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from collections.abc import Iterable, Iterator
+from itertools import repeat
 from pathlib import Path
 
 from .errors import (
@@ -115,6 +120,13 @@ class Block(_Value):
         block = object.__new__(cls)
         _set_symbols(block, symbols)
         return block
+
+    @classmethod
+    def _many(cls, tuples: list[tuple[int, ...]]) -> list["Block"]:
+        """The blocks of a list of tuples of non-negative ints, as _of builds them, in C loops."""
+        blocks = list(map(object.__new__, repeat(cls, len(tuples))))
+        deque(map(_set_symbols, blocks, tuples), maxlen=0)
+        return blocks
 
     # the base's __eq__ and __hash__, without building a field tuple: blocks
     # are compared and hashed in every forbidden set
@@ -268,12 +280,18 @@ def normalize_forbidden_set(blocks: Iterable[Block]) -> ForbiddenSet:
     The result defines the same shift space with a minimal, duplicate-free
     set.  Normalizing twice gives the same result as normalizing once.
     """
-    members = sorted(set(blocks), key=lambda b: (len(b), b.symbols))
-    kept: list[Block] = []
-    for candidate in members:
-        if not any(candidate.contains_factor(shorter) for shorter in kept):
-            kept.append(candidate)
-    return ForbiddenSet(kept)
+    # by increasing length, so a candidate meets only kept blocks no longer
+    # than itself, and finds one as a factor by looking up its factors of
+    # each kept length
+    kept: set[tuple[int, ...]] = set()
+    lengths: set[int] = set()
+    for symbols in sorted({b.symbols for b in blocks}, key=len):
+        t = len(symbols)
+        if any(symbols[i : i + m] in kept for m in lengths for i in range(t - m + 1)):
+            continue
+        kept.add(symbols)
+        lengths.add(t)
+    return ForbiddenSet(Block._many(list(kept)))
 
 
 def parse_block(text: str, alphabet_size: int) -> Block:

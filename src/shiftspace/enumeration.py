@@ -1,29 +1,32 @@
 """Counting and enumerating allowed blocks.
 
-Enumeration is a depth-first search in lexicographic order over allowed
-prefixes.  Whether a symbol may follow an allowed prefix depends only on
-the prefix's last w = L - 1 symbols, L the longest forbidden length, so
-each such tail finds its allowed extensions once per call; a prefix of
-length n - 1 takes all of its extensions at once.  The search keeps one
-path of prefixes and their siblings, and it imports nothing from the
-transfer module and does not use the counter below, so it stays an
-independent oracle for both.  A length whose k^n candidates pass
-MAX_CANDIDATES is refused before the search.  Counting walks the
-Aho-Corasick automaton of the forbidden set (Aho & Corasick 1975).  Its
-states are the prefixes of forbidden blocks, at most the total forbidden
-length plus one, and a block is allowed exactly when reading it from the
-root never reaches a state that ends with a forbidden block.  So the count
-of length n is the number of walks of length n from the root through the
-other states (Guibas & Odlyzko 1981), an exact integer for lengths far
-beyond what enumeration could materialize.
+Enumeration grows the allowed blocks one length at a time, each layer in
+lexicographic order.  Whether a symbol may follow an allowed prefix
+depends only on its tail, the prefix's last w = L - 1 symbols or all of
+it while shorter, L the longest forbidden length, so each tail finds its
+allowed extensions once per call, and one comprehension appends them to
+every prefix of a layer.  One layer is held while the next is built, and
+the last is turned into blocks in bulk (Block._many).  Enumeration
+imports nothing from the transfer module and does not use the counter
+below, so it stays an independent oracle for both.  A length whose k^n
+candidates pass MAX_CANDIDATES is refused before the first layer.
 
-The counter shares no code with the depth-first search or the block
+Counting walks the Aho-Corasick automaton of the forbidden set (Aho &
+Corasick 1975).  Its states are the prefixes of forbidden blocks, at most
+the total forbidden length plus one, and a block is allowed exactly when
+reading it from the root never reaches a state that ends with a
+forbidden block.  So the count of length n is the number of walks of
+length n from the root through the other states (Guibas & Odlyzko 1981),
+an exact integer for lengths far beyond what enumeration could
+materialize.
+
+The counter shares no code with the layer growth or the block
 automaton.  At large n it answers through recurrence.evaluate: by
 Cayley-Hamilton the counts of a counter with s states obey a recurrence of
 order at most s, and its first 2s + 2 counts prove the minimal one.
 
 The spaced family's constructive order is built from (m, k) alone, with no
-forbidden set, search or counter, and refuses only when its own counts
+forbidden set, layers or counter, and refuses only when its own counts
 pass MAX_CANDIDATES.
 """
 
@@ -87,34 +90,19 @@ def enumerate_blocks(spec: ShiftSpaceSpec, n: int) -> list[Block]:
             f"enumerating {k}^{n} candidate blocks exceeds the cap of {MAX_CANDIDATES}; "
             "use count_blocks for counts at this length"
         )
-    if n == 0:
-        return [Block._of(())]
     table = _suffix_table(spec)
-    # whether s may follow an allowed prefix depends only on its last
-    # w = L - 1 symbols, L the longest forbidden length, so each such tail
-    # finds its extensions (as 1-tuples) once; shorter prefixes find theirs
-    # directly, so tails holds at most the allowed blocks of length w
+    # a layer of prefixes of length t has tails p[cut:], whose extensions
+    # (as 1-tuples) are found once per call
     w = max(table, default=1) - 1
     singles = [(s,) for s in range(k)]
     tails: dict[tuple[int, ...], list[tuple[int]]] = {}
-    of = Block._of
-    out: list[Block] = []
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        t = len(prefix)
-        if t < w:
-            grow = [e for e in singles if _suffix_clear(prefix + e, table)]
-        else:
-            tail = prefix[t - w :]
-            grow = tails.get(tail)
-            if grow is None:
-                grow = tails[tail] = [e for e in singles if _suffix_clear(tail + e, table)]
-        if t == n - 1:
-            out.extend(map(of, map(prefix.__add__, grow)))
-        else:
-            stack.extend(map(prefix.__add__, reversed(grow)))
-    return out
+    layer: list[tuple[int, ...]] = [()]
+    for t in range(n):
+        cut = max(t - w, 0)
+        for tail in {p[cut:] for p in layer}.difference(tails):
+            tails[tail] = [e for e in singles if _suffix_clear(tail + e, table)]
+        layer = [p + e for p in layer for e in tails[p[cut:]]]
+    return Block._many(layer)
 
 
 def enumerate_blocks_constructive(params: TmkParams, n: int) -> list[Block]:
@@ -150,7 +138,7 @@ def enumerate_blocks_constructive(params: TmkParams, n: int) -> list[Block]:
                 (0,) * i + (a,) + (0,) * (j - 1 - i) for i in range(j)[::-1] for a in range(1, k)
             ]
         blocks += [block + suffix for block in seeds[j]]
-    return list(map(Block._of, blocks))
+    return Block._many(blocks)
 
 
 def _successor_lists(spec: ShiftSpaceSpec) -> list[list[int]]:

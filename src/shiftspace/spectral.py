@@ -149,9 +149,15 @@ def entropy_tmk(m: int, k: int, log_base: str = "e") -> EntropyReport:
     root = dominant_root(m, k)
     try:
         residual = abs(root ** (m + 1) - root**m - (k - 1))
-    except OverflowError:  # only for k near float max: p = (k-1) (x^m (x-1) / (k-1) - 1)
+    except OverflowError:  # k near float max or x^m past it: p = (k-1) (x^m (x-1) / (k-1) - 1)
         log_ratio = m * math.log(root) + math.log(root - 1.0) - math.log(k - 1)
-        residual = (k - 1) * abs(math.expm1(log_ratio))
+        try:
+            residual = (k - 1) * abs(math.expm1(log_ratio))
+        except OverflowError:  # x - 1 is one ulp, far above lambda - 1
+            raise ParameterError(
+                f"m = {m} puts lambda - 1 below float resolution, "
+                "so the residual of the growth rate cannot be computed in floats"
+            ) from None
     return EntropyReport(
         lambda0=root,
         entropy=_log(root, log_base),

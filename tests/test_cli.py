@@ -420,6 +420,57 @@ def test_m_past_the_recurrence_tuples_exits_one_with_a_message(capsys, no_tmk_sp
     )
 
 
+@pytest.mark.parametrize(
+    ("m", "k"),
+    [
+        pytest.param(10**309, 2, id="10^309,2"),
+        pytest.param(transfer.MAX_STATES + 1, 2, id="cap+1,2"),
+        pytest.param(1, 2000, id="1,2000"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--tmk", "{m},{k}", "--n-max", "3"],
+        ["entropy", "--tmk", "{m},{k}", "--method", "matrix"],
+        ["enumerate", "--tmk", "{m},{k}", "--n", "2"],
+    ],
+    ids=["verify", "entropy", "enumerate"],
+)
+def test_a_family_past_the_state_cap_is_refused_before_its_forbidden_set(
+    capsys, no_tmk_spec, argv, m, k
+):
+    # in process, so an escaping MemoryError fails the test; enumerate
+    # --tmk 1,2000 --n 2 used to build 3,996,001 blocks for 3999 answers
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *(arg.format(m=m, k=k) for arg in argv))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == (
+        f"shiftspace: error: the spaced family's (k-1)^2 * m = {(k - 1) ** 2 * m} forbidden "
+        f"blocks exceed the cap of {transfer.MAX_STATES}\n"
+    )
+
+
+def test_entropy_with_lambda_below_float_resolution_exits_one_with_a_message(capsys):
+    # x^m and then expm1 overflow in the residual from about m = 10^19 on
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "entropy", "--tmk", f"{10**19},2")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == (
+        "shiftspace: error: m = 10000000000000000000 puts lambda - 1 below float resolution, "
+        "so the residual of the growth rate cannot be computed in floats\n"
+    )
+    code, out, _ = run_cli(capsys, "entropy", "--tmk", f"{10**18},2")
+    assert code == 0
+    assert out == "lambda0=1 entropy=2.22044604925031e-16 log_base=e method=polynomial residual=1\n"
+
+
 def test_entropy_of_k_with_a_root_past_the_bisection_width_ends(capsys, no_tmk_spec):
     code, out, _ = run_cli(capsys, "entropy", "--tmk", f"1,{10**26}")
     assert code == 0

@@ -1,6 +1,7 @@
 import copy
 import inspect
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +163,47 @@ def test_normalize_preserves_language(raw):
         assert enumerate_blocks(raw_spec, n) == enumerate_blocks(norm_spec, n)
     again = normalize_forbidden_set(norm_spec.forbidden)
     assert again.blocks == norm_spec.forbidden.blocks
+
+
+def reference_normalize(blocks):
+    """The pairwise normalization: each candidate, shortest first, against every kept block."""
+    members = sorted(set(blocks), key=lambda b: (len(b), b.symbols))
+    kept = []
+    for candidate in members:
+        if not any(candidate.contains_factor(shorter) for shorter in kept):
+            kept.append(candidate)
+    return ForbiddenSet(kept)
+
+
+@st.composite
+def _raw_forbidden_blocks(draw):
+    """Blocks over at most 3 symbols of lengths 1 to 6: random words, factors of one word, repeats."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    word = st.lists(st.integers(min_value=0, max_value=k - 1), min_size=1, max_size=6).map(tuple)
+    base = draw(word)
+    factors = [base[i:j] for i in range(len(base)) for j in range(i + 1, len(base) + 1)]
+    raw = draw(st.lists(word, max_size=8)) + draw(st.lists(st.sampled_from(factors), max_size=4))
+    raw.append(base)
+    raw += draw(st.lists(st.sampled_from(raw), max_size=3))
+    return [Block(symbols) for symbols in draw(st.permutations(raw))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_raw_forbidden_blocks())
+def test_normalize_matches_the_pairwise_reference(raw):
+    assert normalize_forbidden_set(raw) == reference_normalize(raw)
+
+
+def test_a_wide_spaced_family_file_loads_fast(tmp_path):
+    # 1805 blocks; the pairwise normalization took about 1.7 s on them
+    spec = tmk_spec(TmkParams(5, 20))
+    lines = sorted(block_text(b, 20) for b in spec.forbidden)
+    path = tmp_path / "tmk-5-20.txt"
+    path.write_text("k=20\n" + "".join(f"{line}\n" for line in lines))
+    start = time.perf_counter()
+    loaded = load_spec_file(path)
+    assert time.perf_counter() - start < 1
+    assert loaded == spec
 
 
 def test_parse_block_compact():

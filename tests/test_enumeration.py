@@ -161,6 +161,12 @@ def _specs_to_enumerate(draw):
 @example(case=(spec_from_tuples(2, [(1, 0, 1, 1, 0, 1), (0, 0, 0)]), 3))
 @example(case=(spec_from_tuples(2, [(1, 0, 1, 1, 0, 1), (0, 0, 0)]), 5))
 @example(case=(spec_from_tuples(2, [(1, 0, 1, 1, 0, 1), (0, 0, 0)]), 6))
+@example(case=(spec_from_tuples(2, [(1, 0, 1, 1, 0, 1), (0, 0, 0)]), 0))
+# one symbol: every layer holds one block until the forbidden run of 0s
+@example(case=(spec_from_tuples(1, []), 7))
+@example(case=(spec_from_tuples(1, [(0, 0, 0, 0)]), 2))
+@example(case=(spec_from_tuples(1, [(0, 0, 0, 0)]), 6))
+@example(case=(spec_from_tuples(1, [(0,)]), 0))
 def test_enumerate_matches_the_reference_search(case):
     spec, n = case
     assert enumerate_blocks(spec, n) == reference_enumerate(spec, n)

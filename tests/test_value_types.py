@@ -255,9 +255,15 @@ def test_pickle_and_copy_round_trip(cls, params, values, other_values, text):
         assert repr(clone) == text
 
 
+def _one_of_many(symbols):
+    """The block _many builds for symbols among other tuples."""
+    return Block._many([(1,), symbols, ()])[1]
+
+
+@pytest.mark.parametrize("build", [Block._of, _one_of_many], ids=["_of", "_many"])
 @pytest.mark.parametrize("symbols", [(), (0,), (0, 1), (3, 0, 2)])
-def test_unchecked_block_is_the_checked_block(symbols):
-    fast, checked = Block._of(symbols), Block(symbols)
+def test_unchecked_block_is_the_checked_block(build, symbols):
+    fast, checked = build(symbols), Block(symbols)
     assert type(fast) is Block and fast.symbols is symbols
     assert fast == checked and not fast != checked
     assert hash(fast) == hash(checked)
@@ -281,6 +287,14 @@ def test_unchecked_block_is_the_checked_block(symbols):
     with pytest.raises(AttributeError):
         fast.symbols = ()
     assert not hasattr(fast, "__dict__")
+
+
+def test_many_blocks_are_the_blocks_of_each_tuple_in_order():
+    tuples = [(0, 1), (), (0, 1), (2,)]
+    blocks = Block._many(tuples)
+    assert type(blocks) is list and blocks == [Block._of(t) for t in tuples]
+    assert [b.symbols for b in blocks] == tuples and blocks[0] is not blocks[2]
+    assert Block._many([]) == []
 
 
 def test_as_dict_is_the_slots_in_order_and_only_on_rendered_records():
