@@ -3,9 +3,9 @@
 Subcommands: count, enumerate, sequence, entropy, verify, design, table.
 Every command computes its whole result before printing and hands it to
 one writer, which emits a single text, csv, or json document.  Failures
-map to exit codes: 1 for parameter, parse, validation, and resource
-errors, 2 for numeric non-convergence, 3 for disagreement between
-counting methods.
+map to exit codes: 1 for every ShiftSpaceError but ConvergenceError, and
+OSError, 2 for numeric non-convergence (ConvergenceError), 3 for
+disagreement between counting methods.
 """
 
 from __future__ import annotations
@@ -18,25 +18,7 @@ from itertools import chain, islice, repeat
 from pathlib import Path
 
 from . import core, design, enumeration, recurrence, spectral, transfer
-from .errors import (
-    ConvergenceError,
-    EmptyShiftSpaceError,
-    OutOfAlphabetError,
-    ParameterError,
-    ParseError,
-    ResourceLimitError,
-    ValidationError,
-)
-
-_USER_ERRORS = (
-    ParameterError,
-    ParseError,
-    OutOfAlphabetError,
-    ValidationError,
-    ResourceLimitError,
-    EmptyShiftSpaceError,
-    OSError,
-)
+from .errors import ConvergenceError, ParameterError, ResourceLimitError, ShiftSpaceError
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -52,11 +34,9 @@ def _fmt(value: float) -> str:
 
 
 def _tmk_argument(text: str) -> core.TmkParams:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected M,K with two integers, got {text!r}")
+    # a wrong part count fails the unpack with ValueError, as a non-integer part fails int()
     try:
-        m, k = int(parts[0]), int(parts[1])
+        m, k = map(int, text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected M,K with two integers, got {text!r}") from None
     try:
@@ -66,13 +46,11 @@ def _tmk_argument(text: str) -> core.TmkParams:
 
 
 def _range_argument(text: str) -> tuple[int, int]:
-    parts = text.split("..") if ".." in text else text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected LO..HI with two integers, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        lo, hi = map(int, text.split("..") if ".." in text else text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO..HI with two integers, got {text!r}") from None
+    return lo, hi
 
 
 def _add_source_arguments(parser: argparse.ArgumentParser, *, three_symbol: bool = False) -> None:
@@ -96,6 +74,15 @@ def _add_format_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("text", "csv", "json"), default="text", help="output format"
     )
+
+
+def _add_export_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--export-automaton", metavar="FILE", help="also write the automaton edge list")
+
+
+def _add_range_argument(container, flag: str, default: tuple[int, int], help: str) -> None:
+    """A LO..HI option on a parser or on one of its groups."""
+    container.add_argument(flag, type=_range_argument, default=default, metavar="LO..HI", help=help)
 
 
 def _resolve_spec(args) -> core.ShiftSpaceSpec:
@@ -211,21 +198,17 @@ def _cmd_entropy(args) -> int:
         raise ParameterError(f"--method {method} needs --tmk parameters")
     # the polynomial method never reads the forbidden set, which for --tmk
     # has (k-1)^2 * m blocks
-    spec = None
-    if method in ("matrix", "both") or args.export_automaton:
-        spec = _resolve_spec(args)
+    spec = _resolve_spec(args) if method in ("matrix", "both") or args.export_automaton else None
     # only the matrix method reads tol, but every method refuses a bad one
-    tol = transfer.DEFAULT_TOL if args.tol is None else args.tol
-    spectral._require_tol(tol)
+    spectral._require_tol(args.tol)
     reports = []
     if method in ("poly", "both"):
         reports.append(spectral.entropy_tmk(args.tmk.m, args.tmk.k, log_base=args.base))
-    if method in ("matrix", "both"):
+    if spec is not None:
         # entropy_numeric's steps on one build, which the export reuses
         automaton = transfer.build_automaton(spec)
-        reports.append(transfer._automaton_entropy(automaton, tol, args.base))
-    elif args.export_automaton:
-        automaton = transfer.build_automaton(spec)
+    if method in ("matrix", "both"):
+        reports.append(transfer._automaton_entropy(automaton, args.tol, args.base))
     if args.export_automaton:
         Path(args.export_automaton).write_text(transfer.edge_list_text(automaton))
     return _write(
@@ -389,10 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="characteristic polynomial root, transfer-matrix eigenvalue, or both",
     )
     p_ent.add_argument("--base", choices=("e", "2", "10"), default="e", help="logarithm base")
-    p_ent.add_argument("--tol", type=float, default=None, help="numeric tolerance")
-    p_ent.add_argument(
-        "--export-automaton", metavar="FILE", help="also write the automaton edge list"
-    )
+    p_ent.add_argument("--tol", type=float, default=transfer.DEFAULT_TOL, help="numeric tolerance")
+    _add_export_argument(p_ent)
     _add_format_argument(p_ent)
     p_ent.set_defaults(handler=_cmd_entropy)
 
@@ -401,9 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_source_arguments(p_verify)
     p_verify.add_argument("--n-max", type=int, default=12, help="largest length to compare")
-    p_verify.add_argument(
-        "--export-automaton", metavar="FILE", help="also write the automaton edge list"
-    )
+    _add_export_argument(p_verify)
     _add_format_argument(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -413,32 +392,16 @@ def _build_parser() -> argparse.ArgumentParser:
     target.add_argument("--target-ratio", type=float, help="growth rate to match exactly")
     scope = p_design.add_mutually_exclusive_group()
     scope.add_argument("--m", type=int, default=None, help="gap for --target-ratio")
-    scope.add_argument(
-        "--m-range", type=_range_argument, default=(1, 3), metavar="LO..HI", help="gaps to scan"
-    )
+    _add_range_argument(scope, "--m-range", (1, 3), "gaps to scan")
     p_design.add_argument("--base", choices=("e", "2", "10"), default="e", help="logarithm base")
-    p_design.add_argument(
-        "--k-range",
-        type=_range_argument,
-        default=(2, 30),
-        metavar="LO..HI",
-        help="alphabet sizes to scan",
-    )
+    _add_range_argument(p_design, "--k-range", (2, 30), "alphabet sizes to scan")
     p_design.add_argument("--tol", type=float, default=1e-9, help="acceptable entropy deviation")
     _add_format_argument(p_design)
     p_design.set_defaults(handler=_cmd_design)
 
     p_table = subparsers.add_parser("table", help="growth rate and entropy over a parameter grid")
-    p_table.add_argument(
-        "--m-range", type=_range_argument, default=(1, 3), metavar="LO..HI", help="gaps to scan"
-    )
-    p_table.add_argument(
-        "--k-range",
-        type=_range_argument,
-        default=(2, 30),
-        metavar="LO..HI",
-        help="alphabet sizes to scan",
-    )
+    _add_range_argument(p_table, "--m-range", (1, 3), "gaps to scan")
+    _add_range_argument(p_table, "--k-range", (2, 30), "alphabet sizes to scan")
     p_table.add_argument("--base", choices=("e", "2", "10"), default="e", help="logarithm base")
     _add_format_argument(p_table)
     p_table.set_defaults(handler=_cmd_table)
@@ -478,7 +441,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"shiftspace: numeric error: {exc}{_progress_text(exc)}", file=sys.stderr)
         return 2
-    except _USER_ERRORS as exc:
+    except (ShiftSpaceError, OSError) as exc:
         print(f"shiftspace: error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from collections.abc import Iterable, Iterator
+from functools import total_ordering
 from itertools import repeat
 from pathlib import Path
 
@@ -48,6 +49,13 @@ def _require_int(name: str, value, minimum: int) -> None:
     """Raise ParameterError unless value is an integer, not a bool, of at least minimum."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _require_ints(name: str, values: tuple) -> None:
+    """Raise ParameterError at the first value that is not an integer, or is a bool."""
+    if not all(issubclass(t, int) and t is not bool for t in set(map(type, values))):
+        bad = next(v for v in values if not isinstance(v, int) or isinstance(v, bool))
+        raise ParameterError(f"{name} must be integers, got {bad!r}")
 
 
 def _require_in_alphabet(symbols: tuple[int, ...], alphabet_size: int) -> None:
@@ -99,6 +107,7 @@ class _Value:
         return self.__class__, self._field_values()
 
 
+@total_ordering
 class Block(_Value):
     """A finite word of symbols.  The empty block is a valid value.
 
@@ -142,21 +151,6 @@ class Block(_Value):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.symbols < other.symbols
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.symbols <= other.symbols
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.symbols > other.symbols
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.symbols >= other.symbols
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -239,6 +233,8 @@ class CountSequence(_Value):
 
     def __init__(self, counts: tuple[int, ...], n_min: int = 1):
         _Value.__init__(self, tuple(counts), n_min)
+        _require_ints("counts", self.counts)
+        _require_int("n_min", n_min, 0)
 
     @property
     def n_max(self) -> int:

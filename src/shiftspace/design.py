@@ -124,9 +124,11 @@ def _k_window(m: int, lam_lo: float, lam_hi: float, k_lo: int, k_hi: int) -> ran
 def k_for_target_ratio(lambda_target: float, m: int) -> int | None:
     """Alphabet size whose gap-m space grows at lambda_target, or None.
 
-    The inversion k = lambda^(m+1) - lambda^m + 1 is accepted only when it
-    lands within 1e-9 of an integer >= 2 and the forward computation
-    reproduces the target to the same precision.  Raises ParameterError
+    An integer target gives k = lambda^(m+1) - lambda^m + 1 exactly, in
+    integer arithmetic.  Any other is accepted only when the float
+    inversion lands within 1e-9 of an integer >= 2 and the forward
+    computation reproduces the target to the same precision, a rule that
+    cannot tell neighbouring k apart past 2^53.  Raises ParameterError
     when lambda^(m+1) overflows a float, since k then lies beyond float
     range.
     """
@@ -143,6 +145,9 @@ def k_for_target_ratio(lambda_target: float, m: int) -> int | None:
             f"lambda_target^(m+1) overflows a float for lambda_target={lambda_target}, m={m}: "
             "k would lie beyond float range"
         ) from None
+    if lambda_target.is_integer():
+        lam = int(lambda_target)
+        return lam ** (m + 1) - lam**m + 1
     candidate = round(raw)
     if abs(raw - candidate) > 1e-9 * max(1.0, abs(raw)):
         return None

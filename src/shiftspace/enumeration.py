@@ -80,7 +80,8 @@ def enumerate_blocks(spec: ShiftSpaceSpec, n: int) -> list[Block]:
     Raises ResourceLimitError when the candidate space k^n exceeds
     MAX_CANDIDATES; counts stay available through count_blocks in that
     regime.  For k >= 2, k^n >= 2^n, so a length of at least the cap's
-    bit length is refused without computing k^n.
+    bit length is refused without computing k^n.  One symbol has the one
+    candidate 0^n, allowed below the shortest forbidden run; no layer grows.
     """
     validate_spec(spec)
     _require_int("block length", n, 0)
@@ -90,6 +91,8 @@ def enumerate_blocks(spec: ShiftSpaceSpec, n: int) -> list[Block]:
             f"enumerating {k}^{n} candidate blocks exceeds the cap of {MAX_CANDIDATES}; "
             "use count_blocks for counts at this length"
         )
+    if k == 1:
+        return Block._many([(0,) * n] if all(len(f) > n for f in spec.forbidden) else [])
     table = _suffix_table(spec)
     # a layer of prefixes of length t has tails p[cut:], whose extensions
     # (as 1-tuples) are found once per call

@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from itertools import islice
 from operator import mul
 
-from .core import CountSequence, TmkParams, _require_int, _Value
+from .core import CountSequence, TmkParams, _require_int, _require_ints, _Value
 from .errors import ParameterError
 
 # a Mersenne prime; residues below it keep every product within two words
@@ -36,6 +36,9 @@ class LinearRecurrence(_Value):
         self, coefficients: tuple[int, ...], initial_terms: tuple[int, ...], offset: int = 1
     ):
         _Value.__init__(self, tuple(coefficients), tuple(initial_terms), offset)
+        _require_ints("coefficients", self.coefficients)
+        _require_ints("initial_terms", self.initial_terms)
+        _require_int("offset", offset, 0)
         if len(self.coefficients) < 1:
             raise ParameterError("a recurrence needs at least one coefficient")
         if len(self.initial_terms) != len(self.coefficients):
@@ -105,11 +108,6 @@ def _term_iter(rec: LinearRecurrence) -> Iterator[int]:
         yield window[-1]
 
 
-def _taps(coefficients: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The nonzero coefficients cj of a recurrence as (j, cj) pairs."""
-    return [(j, c) for j, c in enumerate(coefficients, start=1) if c]
-
-
 def _reduce(product: list[int], order: int, taps: list[tuple[int, int]]) -> list[int]:
     """product modulo x^d - c1 x^(d-1) - ... - cd, coefficients from x^0 up.
 
@@ -135,7 +133,8 @@ def _power_mod(coefficients: tuple[int, ...], e: int) -> list[int]:
     the characteristic polynomial annihilates it, so a(offset + e) is the
     dot product of the result with the initial terms.
     """
-    order, taps = len(coefficients), _taps(coefficients)
+    order = len(coefficients)
+    taps = [(j, c) for j, c in enumerate(coefficients, start=1) if c]
     residue = [1] + [0] * (order - 1)
     for bit in bin(e)[2:]:
         square = [0] * (2 * len(residue) - 1)
@@ -165,17 +164,13 @@ def _walks(rec: LinearRecurrence, e: int) -> bool:
     return 9 * e * (taps + 5) <= 2 * rec.order**2 * (e - 1).bit_length()
 
 
-def _dot(residue: list[int], terms: tuple[int, ...]) -> int:
-    return sum(r * a for r, a in zip(residue, terms))
-
-
 def evaluate(rec: LinearRecurrence, n: int) -> int:
     """Exact value a(n) for n >= offset, in O(d^2 log n) products for large n."""
     _require_int("index", n, rec.offset)
     e = n - rec.offset
     if _walks(rec, e):
         return next(islice(_term_iter(rec), e, None))
-    return _dot(_power_mod(rec.coefficients, e), rec.initial_terms)
+    return sum(map(mul, _power_mod(rec.coefficients, e), rec.initial_terms))
 
 
 def verify_recurrence(rec: LinearRecurrence, counts: CountSequence) -> RecurrenceCheck:
@@ -319,16 +314,9 @@ def sum_recurrence_three_symbol(n_max: int) -> CountSequence:
 
 
 def limit_ratio(rec: LinearRecurrence, n: int) -> float:
-    """The ratio a(n) / a(n-1) as a correctly rounded float."""
+    """The ratio a(n) / a(n-1) of two evaluate calls, as a correctly rounded float."""
     _require_int("index", n, rec.offset + 1)
-    e = n - rec.offset
-    if _walks(rec, e):
-        previous, current = islice(_term_iter(rec), e - 1, e + 1)
-    else:
-        residue = _power_mod(rec.coefficients, e - 1)
-        previous = _dot(residue, rec.initial_terms)
-        shifted = _reduce([0] + residue, rec.order, _taps(rec.coefficients))
-        current = _dot(shifted, rec.initial_terms)
+    previous, current = evaluate(rec, n - 1), evaluate(rec, n)
     if previous == 0:
         raise ZeroDivisionError(f"ratio at n = {n} undefined: a({n - 1}) is zero")
     return current / previous

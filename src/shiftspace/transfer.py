@@ -275,7 +275,7 @@ def count_via_matrix(automaton: TransferAutomaton, n: int) -> int:
     if n < automaton.window:
         return next(islice(_path_counts(automaton), n, None))
     sizes, rows = _quotient(automaton)
-    return _stable_count(sizes, rows, [1] * len(rows), n - automaton.window)
+    return _stable_count(sizes, rows, n - automaton.window)
 
 
 def _step(rows: list[tuple[int, ...]], weights: list[int]) -> list[int]:
@@ -295,14 +295,13 @@ def _squares(rows: list[tuple[int, ...]], steps: int) -> bool:
     return c**3 * steps.bit_length() < steps * (sum(map(len, rows)) + c)
 
 
-def _stable_count(
-    sizes: list[int], rows: list[tuple[int, ...]], weights: list[int], steps: int
-) -> int:
-    """sizes . R^steps weights, for R the class edge-count matrix of an equitable quotient.
+def _stable_count(sizes: list[int], rows: list[tuple[int, ...]], steps: int) -> int:
+    """sizes . R^steps 1, for R the class edge-count matrix of an equitable quotient.
 
     R is powered by squaring, from the lowest bit of steps up, when
     _squares says so, and walked otherwise; both routes are exact.
     """
+    weights = [1] * len(rows)
     if _squares(rows, steps):
         c = len(rows)
         matrix = [[0] * c for _ in rows]

@@ -16,7 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftspace import ConvergenceError, TmkParams, enumeration, recurrence, tmk_spec, transfer
+from shiftspace import (
+    ConvergenceError,
+    EmptyShiftSpaceError,
+    OutOfAlphabetError,
+    ParameterError,
+    ParseError,
+    ResourceLimitError,
+    ShiftSpaceError,
+    TmkParams,
+    ValidationError,
+    cli,
+    enumeration,
+    recurrence,
+    tmk_spec,
+    transfer,
+)
 from shiftspace.cli import run
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schema"
@@ -882,6 +897,53 @@ def test_exit_code_bad_tmk(capsys):
     assert run_cli(capsys, "count", "--tmk", "1", "--n", "4")[0] == 1
     assert run_cli(capsys, "count", "--tmk", "0,2", "--n", "4")[0] == 1
     assert run_cli(capsys, "count", "--tmk", "1,x", "--n", "4")[0] == 1
+    assert run_cli(capsys, "count", "--tmk", "1,2,3", "--n", "4")[0] == 1
+    assert run_cli(capsys, "count", "--tmk", "a,2", "--n", "4")[0] == 1
+
+
+@pytest.mark.parametrize("text", ["1..2..3", "1,2,3", "1..x"])
+def test_exit_code_bad_range(capsys, text):
+    code, out, err = run_cli(capsys, "table", "--m-range", text)
+    assert (code, out) == (1, "")
+    assert err == (
+        "shiftspace table: error: argument --m-range: "
+        f"expected LO..HI with two integers, got {text!r}\n"
+    )
+
+
+USER_ERRORS = [
+    ShiftSpaceError("boom"),
+    ParameterError("boom"),
+    ParseError("boom"),
+    OutOfAlphabetError("boom"),
+    ValidationError(["boom"]),
+    ResourceLimitError("boom"),
+    EmptyShiftSpaceError("boom"),
+]
+
+
+def test_user_errors_list_every_shift_space_error_but_convergence():
+    listed = {type(error) for error in USER_ERRORS}
+    assert listed | {ConvergenceError} == {ShiftSpaceError, *ShiftSpaceError.__subclasses__()}
+
+
+@pytest.mark.parametrize(
+    "error, code, kind",
+    [
+        pytest.param(error, code, kind, id=type(error).__name__)
+        for error, code, kind in [
+            *((error, 1, "error") for error in USER_ERRORS),
+            (ConvergenceError("boom"), 2, "numeric error"),
+        ]
+    ],
+)
+def test_shift_space_errors_exit_one_but_convergence_two(capsys, monkeypatch, error, code, kind):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_count", fail)
+    expected = (code, "", f"shiftspace: {kind}: boom\n")
+    assert run_cli(capsys, "count", "--tmk", "1,2", "--n", "4") == expected
 
 
 def test_exit_code_negative_length(capsys):

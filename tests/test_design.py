@@ -3,6 +3,7 @@
 import math
 import time
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -58,8 +59,10 @@ def test_k_for_target_ratio_beyond_float_range():
         k_for_target_ratio(1e200, 3)
 
 
-@pytest.mark.parametrize("lam", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+# past 2^53 the float inversion misses k: by 4029 at (40, 3) and by 1 at (60, 2)
+@pytest.mark.parametrize(
+    "m, lam", [*product([1, 2, 3, 4], [2, 3, 4, 5, 6]), (40, 3), (60, 2), (3, 100000)]
+)
 def test_k_for_target_ratio_round_trip(lam, m):
     k = k_for_target_ratio(float(lam), m)
     assert k == lam ** (m + 1) - lam**m + 1

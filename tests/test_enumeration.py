@@ -1,6 +1,7 @@
 import ast
 import inspect
 import random
+import time
 from itertools import islice, product
 
 import pytest
@@ -309,6 +310,17 @@ def test_enumeration_allows_a_candidate_space_equal_to_the_cap(monkeypatch, k, n
 def test_enumeration_never_refuses_one_symbol(monkeypatch):
     monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 1)
     assert enumerate_blocks(ShiftSpaceSpec(1), 100) == [Block((0,) * 100)]
+
+
+def test_enumeration_of_one_symbol_grows_no_layers():
+    # 0^n is the one candidate; growing it a layer at a time copies the
+    # prefix at every step, quadratic in n (about 23 s at n = 10^5)
+    start = time.perf_counter()
+    assert enumerate_blocks(ShiftSpaceSpec(1), 10**5) == [Block((0,) * 10**5)]
+    assert time.perf_counter() - start < 1.0
+    spec = spec_from_tuples(1, [(0,) * 6])
+    assert enumerate_blocks(spec, 5) == [Block((0,) * 5)]
+    assert enumerate_blocks(spec, 6) == []
 
 
 def test_constructive_refuses_over_the_cap_without_its_count(monkeypatch):

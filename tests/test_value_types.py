@@ -348,6 +348,12 @@ def test_block_ordering():
             "1 coefficients need exactly as many initial terms, got 2",
         ),
         (lambda: LinearRecurrence((0,), (1,)), ParameterError, "the trailing coefficient must be nonzero"),
+        (lambda: LinearRecurrence((0.5,), (1,)), ParameterError, "coefficients must be integers, got 0.5"),
+        (lambda: LinearRecurrence((1,), (True,)), ParameterError, "initial_terms must be integers, got True"),
+        (lambda: LinearRecurrence((1,), (1,), 1.0), ParameterError, "offset must be an integer >= 0, got 1.0"),
+        (lambda: LinearRecurrence((1,), (1,), -1), ParameterError, "offset must be an integer >= 0, got -1"),
+        (lambda: CountSequence((1, 2.0)), ParameterError, "counts must be integers, got 2.0"),
+        (lambda: CountSequence((1, 2), n_min="x"), ParameterError, "n_min must be an integer >= 0, got 'x'"),
     ],
 )
 def test_validation_messages(build, error, message):
