@@ -153,10 +153,14 @@ def _cmd_count(args) -> int:
     if args.tmk is None:
         value = str(enumeration.count_blocks(core.load_spec_file(args.spec), args.n))
     else:
-        # the family's recurrence answers in O(m^2 log n) and never builds
-        # the (k-1)^2 * m forbidden blocks; it starts at n = 1
+        # a(n) = 1 + n(k-1) up to n = m + 1, and past it the family's
+        # recurrence answers in O(m^2 log n); neither builds the (k-1)^2 * m
+        # forbidden blocks
         core._require_int("block length", args.n, 0)
-        count = recurrence.evaluate(recurrence.tmk_recurrence(args.tmk), args.n) if args.n else 1
+        if args.n <= args.tmk.m + 1:
+            count = 1 + args.n * (args.tmk.k - 1)
+        else:
+            count = recurrence.evaluate(recurrence.tmk_recurrence(args.tmk), args.n)
         value = str(count)
     return _write(args, [value], ("n", "count"), [(args.n, value)], {"n": args.n, "count": value})
 
@@ -180,9 +184,9 @@ def _cmd_sequence(args) -> int:
     if args.three_symbol:
         counts = recurrence.sum_recurrence_three_symbol(args.n_max)
     elif args.tmk is not None:
-        # as in count: the family's recurrence, never its forbidden set
+        # the family's two taps, never its forbidden set
         core._require_int("n_max", args.n_max, 1)
-        counts = islice(recurrence._term_iter(recurrence.tmk_recurrence(args.tmk)), args.n_max)
+        counts = islice(recurrence._tmk_terms(args.tmk), 1, args.n_max + 1)
     else:
         counts = enumeration.count_sequence(_resolve_spec(args), args.n_max)
     texts = [str(c) for c in counts]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from itertools import chain, islice
+from itertools import islice
 
 from .core import (
     Block,
@@ -46,7 +46,7 @@ from .core import (
     validate_spec,
 )
 from .errors import ResourceLimitError
-from .recurrence import _proven_recurrence, _term_iter, evaluate, tmk_recurrence
+from .recurrence import _proven_recurrence, _tmk_terms, evaluate
 
 MAX_CANDIDATES = 2**24
 
@@ -120,14 +120,18 @@ def enumerate_blocks_constructive(params: TmkParams, n: int) -> list[Block]:
     _require_int("block length", n, 0)
     m, k = params.m, params.k
     # the counts never decrease, a(j) = a(j-1) + (k-1) * a(j-m-1), so the
-    # walk can stop at the first length whose count is over the cap
-    counts = chain((1,), _term_iter(tmk_recurrence(params)))
-    if any(count > MAX_CANDIDATES for count in islice(counts, n + 1)):
+    # walk can stop at the first length whose count is over the cap, and a
+    # length whose a(min(n, m + 1)) = 1 + min(n, m + 1)(k - 1) is already
+    # over it is refused without the walk, however large n and m are
+    if 1 + min(n, m + 1) * (k - 1) > MAX_CANDIDATES or any(
+        count > MAX_CANDIDATES for count in islice(_tmk_terms(params), n + 1)
+    ):
         raise ResourceLimitError(
             f"materializing the allowed blocks of length {n} exceeds the cap of "
             f"{MAX_CANDIDATES} blocks"
         )
-    tails = [(0,) * m + (a,) for a in range(k - 1, 0, -1)]
+    # only a length past m + 1 splits into these m-symbol tails
+    tails = [(0,) * m + (a,) for a in range(k - 1, 0, -1)] if n > m + 1 else []
     # (j, suffix) on the stack, next on top, stands for the length j blocks
     # each followed by suffix, so only length n and the seeds are built
     blocks, seeds, stack = [], {}, [(n, ())]

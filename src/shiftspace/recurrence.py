@@ -12,6 +12,7 @@ three-symbol space with 11 and 22 forbidden is here too.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from collections.abc import Iterator
 from itertools import islice
@@ -84,13 +85,28 @@ def tmk_recurrence(params: TmkParams) -> LinearRecurrence:
     m, k = params.m, params.k
     try:
         coefficients = (1,) + (0,) * (m - 1) + (k - 1,)
-        initial_terms = tuple(1 + n * (k - 1) for n in range(1, m + 2))
+        initial_terms = tuple(islice(_tmk_terms(params), 1, m + 2))
     except (OverflowError, MemoryError):
         raise ParameterError(
             f"m is too large for a recurrence of order m + 1 (m >= 2^{m.bit_length() - 1}): "
             "its tuples of m + 1 terms cannot be built"
         ) from None
     return LinearRecurrence(coefficients=coefficients, initial_terms=initial_terms, offset=1)
+
+
+def _tmk_terms(params: TmkParams) -> Iterator[int]:
+    """Yields a(0), a(1), ... of the spaced family from its two taps.
+
+    a(n) = a(n-1) + (k-1) a(n-m-1), where a(j) = 1 for j < 0, gives
+    a(n) = 1 + n(k-1) up to n = m + 1.  Only the last m + 1 terms are kept,
+    so the first few terms cost a few steps whatever m is.
+    """
+    m, k = params.m, params.k
+    past = deque([1], maxlen=min(m + 1, sys.maxsize))
+    yield 1
+    while True:
+        past.append(past[-1] + (k - 1) * (past[0] if len(past) > m else 1))
+        yield past[-1]
 
 
 def _term_iter(rec: LinearRecurrence) -> Iterator[int]:

@@ -12,22 +12,22 @@ independent checks.
 One stream counts the allowed blocks of every length: below the window it
 yields the sizes of those layers, and allowed blocks of length n >= L-1
 correspond one to one to paths of length n-L+1.  Entropy is the logarithm
-of the dominant eigenvalue of the trimmed automaton.  Paths and entropy are
-read off one quotient: states with equal successor lists are merged, pass
-after pass, until no two are equal.  The classes form an equitable
-partition, an amalgamation (Lind and Marcus 1995, section 2.4): every state
-of a class has the same number of edges into each class, so a vector
-constant on the classes stays so under the adjacency matrix.  The 2^11
-states of the automaton of 1^12 fall into 12 classes, those of tmk(m, k)
-into m + 1.  Counts start from the all-ones weights: the number of paths of
-a given length from a state depends only on its class, and each count is a
-sum of class size times class weight, exact and with no float step; the
-steps either walk the quotient or power its class edge-count matrix by
-squaring, whichever the operation counts say is cheaper.  Entropy comes
-from power iteration with a Collatz-Wielandt enclosure over the classes'
-out-lists, one entry per edge, so a step costs the merged edges, not
-states^2; each row sum is rounded once by math.fsum, so the merged
-iteration gives the full automaton's bits.
+of the dominant eigenvalue of the trimmed automaton, the states that start
+and end infinite paths.  Paths and entropy are read off one quotient:
+states with equal successor lists are merged, pass after pass, until no two
+are equal.  The classes form an equitable partition, an amalgamation (Lind
+and Marcus 1995, section 2.4): every state of a class has the same number
+of edges into each class, so a vector constant on the classes stays so
+under the adjacency matrix.  The 2^11 states of the automaton of 1^12 fall
+into 12 classes, those of tmk(m, k) into m + 1.  Counts start from the
+all-ones weights: the number of paths of a given length from a state
+depends only on its class, and each count is a sum of class size times
+class weight, exact and with no float step; the steps either walk the
+quotient or power its class edge-count matrix by squaring, whichever the
+operation counts say is cheaper.  Entropy comes from power iteration with a
+Collatz-Wielandt enclosure over the classes' out-lists, one entry per edge,
+so a step costs the merged edges, not states^2; each row sum is rounded
+once by math.fsum, so the merged iteration gives the full automaton's bits.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from collections import deque
 from collections.abc import Iterator
 from itertools import chain, islice, product, repeat
 from math import fsum
-from operator import add, mul, truediv
+from operator import add, and_, mul, truediv
 
 from .core import Block, ShiftSpaceSpec, _require_int, _Value, validate_spec
 from .errors import (
@@ -134,10 +134,14 @@ def build_automaton(spec: ShiftSpaceSpec) -> TransferAutomaton:
 
 
 def _banned_codes(spec: ShiftSpaceSpec) -> dict[int, set[int]]:
-    """The codes of the forbidden blocks, by length."""
+    """The base-k codes of the forbidden blocks, first symbol least significant, by length."""
+    k = spec.alphabet_size
     banned: dict[int, set[int]] = {}
     for block in spec.forbidden:
-        banned.setdefault(len(block), set()).add(_code(block.symbols, spec.alphabet_size))
+        code = 0
+        for s in reversed(block.symbols):
+            code = code * k + s
+        banned.setdefault(len(block), set()).add(code)
     return banned
 
 
@@ -172,14 +176,6 @@ def _layers(k: int, banned: dict[int, set[int]], length: int) -> Iterator[list[i
         yield codes
 
 
-def _code(symbols: tuple[int, ...], k: int) -> int:
-    """The base-k code of a block, first symbol least significant."""
-    code = 0
-    for s in reversed(symbols):
-        code = code * k + s
-    return code
-
-
 def _digits(codes: list[int], k: int, width: int) -> list[tuple[int, ...]]:
     """The blocks of length width that the codes stand for.
 
@@ -206,37 +202,20 @@ def _digits(codes: list[int], k: int, width: int) -> list[tuple[int, ...]]:
 
 
 def trim(automaton: TransferAutomaton) -> TransferAutomaton:
-    """Drop states without outgoing or incoming edges until none remain.
+    """Keep the states that start an infinite path and end one, and their edges.
 
-    The surviving automaton carries exactly the bi-infinite sequences, so
-    it is the right carrier for entropy; finite-block counts must use the
-    untrimmed automaton.
+    This is the essential graph (Lind and Marcus 1995, section 2.2), which
+    carries exactly the bi-infinite sequences, so it is the carrier for
+    entropy; finite-block counts must use the untrimmed automaton.  When u
+    has both paths, so does every state on them, so the intersection of
+    the two one-sided peels is the joint peel of states without outgoing
+    or incoming edges.
     """
-    successors: list[list[int]] = [[] for _ in automaton.states]
+    successors = automaton.out_lists()
     predecessors: list[list[int]] = [[] for _ in automaton.states]
     for source, target, _symbol in automaton.edges:
-        successors[source].append(target)
         predecessors[target].append(source)
-    out_degree = list(map(len, successors))
-    in_degree = list(map(len, predecessors))
-    alive = list(map(bool, map(min, out_degree, in_degree)))
-    # each state enters the queue once, as it dies, and takes its edges
-    # away from the living, so the whole pass is O(V + E)
-    queue = [u for u, living in enumerate(alive) if not living]
-    while queue:
-        u = queue.pop()
-        for v in successors[u]:
-            if alive[v]:
-                in_degree[v] -= 1
-                if not in_degree[v]:
-                    alive[v] = False
-                    queue.append(v)
-        for v in predecessors[u]:
-            if alive[v]:
-                out_degree[v] -= 1
-                if not out_degree[v]:
-                    alive[v] = False
-                    queue.append(v)
+    alive = list(map(and_, _lasting(successors, predecessors), _lasting(predecessors, successors)))
     # an automaton that loses no state keeps its tuples, which saves the
     # remap on the small, mostly live automata that entropy runs on
     states, edges = automaton.states, automaton.edges
@@ -258,6 +237,22 @@ def trim(automaton: TransferAutomaton) -> TransferAutomaton:
     )
 
 
+def _lasting(ahead: list[list[int]], behind: list[list[int]]) -> list[bool]:
+    """Whether each state starts an infinite path along the ahead lists.
+
+    A state whose count of unpeeled states ahead reaches 0 is peeled and
+    taken once off the counts of the states behind it: O(V + E).
+    """
+    count = list(map(len, ahead))
+    queue = [u for u, entries in enumerate(count) if not entries]
+    while queue:
+        for v in behind[queue.pop()]:
+            count[v] -= 1
+            if not count[v]:
+                queue.append(v)
+    return list(map(bool, count))
+
+
 def count_via_matrix(automaton: TransferAutomaton, n: int) -> int:
     """Exact count of allowed blocks of length n via path counting.
 
@@ -275,13 +270,10 @@ def count_via_matrix(automaton: TransferAutomaton, n: int) -> int:
     if n < automaton.window:
         return next(islice(_path_counts(automaton), n, None))
     sizes, rows = _quotient(automaton)
-    return _stable_count(sizes, rows, n - automaton.window)
-
-
-def _step(rows: list[tuple[int, ...]], weights: list[int]) -> list[int]:
-    """One step of the quotient walk: each class sums its successors' weights."""
-    weight = weights.__getitem__
-    return [sum(map(weight, row)) for row in rows]
+    steps = n - automaton.window
+    if _squares(rows, steps):
+        return _squared_count(sizes, rows, steps)
+    return next(islice(_walk(sizes, rows), steps, None))
 
 
 def _squares(rows: list[tuple[int, ...]], steps: int) -> bool:
@@ -295,30 +287,31 @@ def _squares(rows: list[tuple[int, ...]], steps: int) -> bool:
     return c**3 * steps.bit_length() < steps * (sum(map(len, rows)) + c)
 
 
-def _stable_count(sizes: list[int], rows: list[tuple[int, ...]], steps: int) -> int:
-    """sizes . R^steps 1, for R the class edge-count matrix of an equitable quotient.
-
-    R is powered by squaring, from the lowest bit of steps up, when
-    _squares says so, and walked otherwise; both routes are exact.
-    """
-    weights = [1] * len(rows)
-    if _squares(rows, steps):
-        c = len(rows)
-        matrix = [[0] * c for _ in rows]
-        for line, row in zip(matrix, rows):
-            for b in row:
-                line[b] += 1
-        while steps:
-            if steps & 1:
-                weights = [sum(map(mul, line, weights)) for line in matrix]
-            steps >>= 1
-            if steps:
-                columns = list(zip(*matrix))
-                matrix = [[sum(map(mul, line, column)) for column in columns] for line in matrix]
-    else:
-        for _ in range(steps):
-            weights = _step(rows, weights)
+def _squared_count(sizes: list[int], rows: list[tuple[int, ...]], steps: int) -> int:
+    """sizes . R^steps 1, R the class edge-count matrix squared from the lowest bit up."""
+    c = len(rows)
+    weights = [1] * c
+    matrix = [[0] * c for _ in rows]
+    for line, row in zip(matrix, rows):
+        for b in row:
+            line[b] += 1
+    while steps:
+        if steps & 1:
+            weights = [sum(map(mul, line, weights)) for line in matrix]
+        steps >>= 1
+        if steps:
+            columns = list(zip(*matrix))
+            matrix = [[sum(map(mul, line, column)) for column in columns] for line in matrix]
     return sum(map(mul, sizes, weights))
+
+
+def _walk(sizes: list[int], rows: list[tuple[int, ...]]) -> Iterator[int]:
+    """Yields sizes . R^j 1 for j = 0, 1, ...: each class sums its successors' weights."""
+    weights = [1] * len(rows)
+    while True:
+        yield sum(map(mul, sizes, weights))
+        weight = weights.__getitem__
+        weights = [sum(map(weight, row)) for row in rows]
 
 
 def _path_counts(automaton: TransferAutomaton) -> Iterator[int]:
@@ -328,17 +321,12 @@ def _path_counts(automaton: TransferAutomaton) -> Iterator[int]:
     once more from _banned_codes built once.  From the window on, w_j[u],
     the number of paths of length j from state u, counts the allowed blocks
     of length window + j that start with u; on the classes of _quotient,
-    computed only once the stream gets there, it is constant, and w_j sums
-    w_(j-1) over the classes that the rows list.  So each count is the sum
-    over classes of size times weight.
+    computed only once the stream gets there, it is constant, and _walk
+    steps it.  So each count is the sum over classes of size times weight.
     """
     spec = automaton.spec
     yield from map(len, _layers(spec.alphabet_size, _banned_codes(spec), automaton.window - 1))
-    sizes, rows = _quotient(automaton)
-    weights = [1] * len(rows)
-    while True:
-        yield sum(map(mul, sizes, weights))
-        weights = _step(rows, weights)
+    yield from _walk(*_quotient(automaton))
 
 
 def _quotient(automaton: TransferAutomaton) -> tuple[list[int], list[tuple[int, ...]]]:

@@ -411,21 +411,14 @@ def test_m_beyond_float_range_exits_one_with_a_message(capsys, no_tmk_spec, argv
     )
 
 
-@pytest.mark.parametrize(
-    ("m", "bits"), [pytest.param(10**309, 1026, id="10^309"), pytest.param(2**62, 62, id="2^62")]
-)
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["count", "--tmk", "{m},2", "--n", "3"],
-        ["sequence", "--tmk", "{m},2", "--n-max", "3"],
-        ["enumerate", "--tmk", "{m},2", "--n", "3", "--order", "constructive"],
-    ],
-    ids=["count", "sequence", "enumerate"],
-)
-def test_m_past_the_recurrence_tuples_exits_one_with_a_message(capsys, no_tmk_spec, argv, m, bits):
-    # in process, so an escaping OverflowError or MemoryError fails the test
-    code, out, err = run_cli(capsys, *(arg.format(m=m) for arg in argv))
+HUGE_M = [pytest.param(10**309, id="10^309"), pytest.param(2**62, id="2^62")]
+
+
+@pytest.mark.parametrize(("m", "bits"), [(10**309, 1026), (2**62, 62)], ids=["10^309", "2^62"])
+def test_m_past_the_recurrence_tuples_exits_one_with_a_message(capsys, no_tmk_spec, m, bits):
+    # in process, so an escaping OverflowError or MemoryError fails the test;
+    # past n = m + 1 the count needs the recurrence of order m + 1
+    code, out, err = run_cli(capsys, "count", "--tmk", f"{m},2", "--n", str(m + 2))
     assert code == 1
     assert out == ""
     assert "Traceback" not in err
@@ -433,6 +426,43 @@ def test_m_past_the_recurrence_tuples_exits_one_with_a_message(capsys, no_tmk_sp
         f"shiftspace: error: m is too large for a recurrence of order m + 1 (m >= 2^{bits}): "
         "its tuples of m + 1 terms cannot be built\n"
     )
+
+
+@pytest.mark.parametrize("m", HUGE_M)
+def test_constructive_past_a_huge_m_is_refused_at_once(capsys, no_tmk_spec, m):
+    # a(m + 1) = m + 2 is past the candidate cap, so no count is walked
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "enumerate", "--tmk", f"{m},2", "--n", str(m + 2), "--order", "constructive"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        f"shiftspace: error: materializing the allowed blocks of length {m + 2} exceeds "
+        "the cap of 16777216 blocks\n"
+    )
+
+
+@pytest.mark.parametrize("m", [*HUGE_M, pytest.param(10**7, id="10^7")])
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (["count", "--tmk", "{m},2", "--n", "3"], "4\n"),
+        (["sequence", "--tmk", "{m},2", "--n-max", "3"], "2,3,4\n"),
+        (["enumerate", "--tmk", "{m},2", "--n", "3", "--order", "constructive"], "000\n001\n010\n100\n"),
+    ],
+    ids=["count", "sequence", "enumerate"],
+)
+def test_spaced_family_at_a_huge_m_reads_only_the_terms_it_prints(
+    capsys, no_tmk_spec, argv, expected, m
+):
+    # up to n = m + 1 the counts are 1 + n(k-1), so no recurrence of order
+    # m + 1 is built; at m = 10^7 building it took 4 s and 554 MB
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *(arg.format(m=m) for arg in argv))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, expected)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from shiftspace.recurrence import (
     _berlekamp_massey_mod,
     _proven_recurrence,
     _term_iter,
+    _tmk_terms,
     evaluate,
     limit_ratio,
 )
@@ -72,6 +73,16 @@ def test_tmk_recurrence_refuses_an_m_whose_tuples_cannot_be_built(m, bits):
     with pytest.raises(ParameterError) as info:
         tmk_recurrence(TmkParams(m, 2))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("k", range(2, 6))
+def test_tmk_terms_match_the_recurrence(m, k):
+    params = TmkParams(m, k)
+    terms = 3 * (m + 1) + 5
+    # the recurrence starts at a(1), the generator at a(0) = 1
+    expected = [1, *islice(_term_iter(tmk_recurrence(params)), terms - 1)]
+    assert list(islice(_tmk_terms(params), terms)) == expected
 
 
 def test_linear_recurrence_invariants():

@@ -229,6 +229,12 @@ def untrimmed_automata(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(untrimmed_automata())
+# a source chain feeding a cycle: only the forward peel keeps the chain
+@example(synthetic_automaton(5, [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 2, 1)]))
+# a cycle feeding a sink chain: only the backward peel keeps the chain
+@example(synthetic_automaton(5, [(0, 1, 0), (1, 0, 0), (1, 2, 1), (2, 3, 0), (3, 4, 0)]))
+# a lone self-loop among dead states, fed by one and feeding another
+@example(synthetic_automaton(5, [(0, 2, 0), (2, 2, 0), (2, 3, 0), (4, 0, 1), (3, 1, 1)]))
 def test_trim_equals_fixed_point_loop(automaton):
     assert trim(automaton) == reference_trim(automaton)
 
