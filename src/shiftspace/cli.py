@@ -6,6 +6,11 @@ one writer, which emits a single text, csv, or json document.  Failures
 map to exit codes: 1 for every ShiftSpaceError but ConvergenceError, and
 OSError, 2 for numeric non-convergence (ConvergenceError), 3 for
 disagreement between counting methods.
+
+Modules load on first use: of the package, this module imports only core
+and errors, and each command's handler imports the modules it runs.  The parser adds all
+seven subcommands with their names and help, but run() adds options only
+to the command its argv names, so a run builds one command's options.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from collections.abc import Sequence
 from itertools import chain, islice, repeat
 from pathlib import Path
 
-from . import core, design, enumeration, recurrence, spectral, transfer
+from . import core
 from .errors import ConvergenceError, ParameterError, ResourceLimitError, ShiftSpaceError
 
 
@@ -70,12 +75,6 @@ def _add_source_arguments(parser: argparse.ArgumentParser, *, three_symbol: bool
         )
 
 
-def _add_format_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("text", "csv", "json"), default="text", help="output format"
-    )
-
-
 def _add_export_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--export-automaton", metavar="FILE", help="also write the automaton edge list")
 
@@ -87,6 +86,8 @@ def _add_range_argument(container, flag: str, default: tuple[int, int], help: st
 
 def _resolve_spec(args) -> core.ShiftSpaceSpec:
     if getattr(args, "tmk", None) is not None:
+        from . import transfer
+
         # a family too wide for the automaton's state cap is refused before
         # its forbidden set is built
         size = (args.tmk.k - 1) ** 2 * args.tmk.m
@@ -151,6 +152,8 @@ def _write(args, lines, header, rows, document: dict, code: int = 0) -> int:
 
 def _cmd_count(args) -> int:
     if args.tmk is None:
+        from . import enumeration
+
         value = str(enumeration.count_blocks(core.load_spec_file(args.spec), args.n))
     else:
         # a(n) = 1 + n(k-1) up to n = m + 1, and past it the family's
@@ -160,12 +163,16 @@ def _cmd_count(args) -> int:
         if args.n <= args.tmk.m + 1:
             count = 1 + args.n * (args.tmk.k - 1)
         else:
+            from . import recurrence
+
             count = recurrence.evaluate(recurrence.tmk_recurrence(args.tmk), args.n)
         value = str(count)
     return _write(args, [value], ("n", "count"), [(args.n, value)], {"n": args.n, "count": value})
 
 
 def _cmd_enumerate(args) -> int:
+    from . import enumeration
+
     if args.order == "constructive":
         if args.tmk is None:
             raise ParameterError("--order constructive is defined only for --tmk parameters")
@@ -181,13 +188,17 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
+    from . import recurrence
+
     if args.three_symbol:
         counts = recurrence.sum_recurrence_three_symbol(args.n_max)
     elif args.tmk is not None:
         # the family's two taps, never its forbidden set
-        core._require_int("n_max", args.n_max, 1)
+        core._require_n_max(args.n_max)
         counts = islice(recurrence._tmk_terms(args.tmk), 1, args.n_max + 1)
     else:
+        from . import enumeration
+
         counts = enumeration.count_sequence(_resolve_spec(args), args.n_max)
     texts = [str(c) for c in counts]
     document = {"n_min": 1, "n_max": args.n_max, "counts": texts}
@@ -195,6 +206,8 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
+    from . import spectral
+
     method = args.method
     if method == "auto":
         method = "poly" if args.tmk is not None else "matrix"
@@ -209,6 +222,8 @@ def _cmd_entropy(args) -> int:
     if method in ("poly", "both"):
         reports.append(spectral.entropy_tmk(args.tmk.m, args.tmk.k, log_base=args.base))
     if spec is not None:
+        from . import transfer
+
         # entropy_numeric's steps on one build, which the export reuses
         automaton = transfer.build_automaton(spec)
     if method in ("matrix", "both"):
@@ -225,6 +240,8 @@ def _cmd_entropy(args) -> int:
 
 
 def _verify_recurrence_for(args, counts) -> tuple[recurrence.LinearRecurrence | None, str]:
+    from . import recurrence
+
     if args.tmk is not None:
         return recurrence.tmk_recurrence(args.tmk), "built-in"
     max_order = (len(counts.counts) - 2) // 2
@@ -235,6 +252,8 @@ def _verify_recurrence_for(args, counts) -> tuple[recurrence.LinearRecurrence | 
 
 
 def _cmd_verify(args) -> int:
+    from . import enumeration, recurrence, transfer
+
     spec = _resolve_spec(args)
     counts = enumeration.count_sequence(spec, args.n_max)
     automaton = transfer.build_automaton(spec)
@@ -286,6 +305,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    from . import design, spectral
+
     if args.target_ratio is not None:
         if args.m is None:
             raise ParameterError("--target-ratio needs --m")
@@ -324,6 +345,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import design
+
     rows = design.entropy_table(m_range=args.m_range, k_range=args.k_range, log_base=args.base)
     lines = ["m k lambda0 entropy"]
     lines.extend(f"{r.m} {r.k} {_fmt(r.lambda0)} {_fmt(r.entropy)}" for r in rows)
@@ -336,81 +359,110 @@ def _cmd_table(args) -> int:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="shiftspace",
-        description="Count, enumerate, and analyze shift spaces given by forbidden blocks.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+def _count_options(parser: argparse.ArgumentParser) -> None:
+    _add_source_arguments(parser)
+    parser.add_argument("--n", "-n", type=int, required=True, help="block length")
 
-    p_count = subparsers.add_parser("count", help="number of allowed blocks of one length")
-    _add_source_arguments(p_count)
-    p_count.add_argument("--n", "-n", type=int, required=True, help="block length")
-    _add_format_argument(p_count)
-    p_count.set_defaults(handler=_cmd_count)
 
-    p_enum = subparsers.add_parser("enumerate", help="list the allowed blocks of one length")
-    _add_source_arguments(p_enum)
-    p_enum.add_argument("--n", "-n", type=int, required=True, help="block length")
-    p_enum.add_argument(
+def _enumerate_options(parser: argparse.ArgumentParser) -> None:
+    _add_source_arguments(parser)
+    parser.add_argument("--n", "-n", type=int, required=True, help="block length")
+    parser.add_argument(
         "--order",
         choices=("lex", "constructive"),
         default="lex",
         help="lexicographic, or the recurrence build order (--tmk only)",
     )
-    _add_format_argument(p_enum)
-    p_enum.set_defaults(handler=_cmd_enumerate)
 
-    p_seq = subparsers.add_parser("sequence", help="counts for every length up to a bound")
-    _add_source_arguments(p_seq, three_symbol=True)
-    p_seq.add_argument("--n-max", type=int, required=True, help="largest length")
-    _add_format_argument(p_seq)
-    p_seq.set_defaults(handler=_cmd_sequence)
 
-    p_ent = subparsers.add_parser("entropy", help="growth rate and entropy")
-    _add_source_arguments(p_ent)
-    p_ent.add_argument(
+def _sequence_options(parser: argparse.ArgumentParser) -> None:
+    _add_source_arguments(parser, three_symbol=True)
+    parser.add_argument("--n-max", type=int, required=True, help="largest length")
+
+
+def _entropy_options(parser: argparse.ArgumentParser) -> None:
+    from .spectral import DEFAULT_TOL
+
+    _add_source_arguments(parser)
+    parser.add_argument(
         "--method",
         choices=("poly", "matrix", "both", "auto"),
         default="auto",
         help="characteristic polynomial root, transfer-matrix eigenvalue, or both",
     )
-    p_ent.add_argument("--base", choices=("e", "2", "10"), default="e", help="logarithm base")
-    p_ent.add_argument("--tol", type=float, default=transfer.DEFAULT_TOL, help="numeric tolerance")
-    _add_export_argument(p_ent)
-    _add_format_argument(p_ent)
-    p_ent.set_defaults(handler=_cmd_entropy)
+    parser.add_argument("--base", choices=("e", "2", "10"), default="e", help="logarithm base")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric tolerance")
+    _add_export_argument(parser)
 
-    p_verify = subparsers.add_parser(
-        "verify", help="check counting methods against each other"
-    )
-    _add_source_arguments(p_verify)
-    p_verify.add_argument("--n-max", type=int, default=12, help="largest length to compare")
-    _add_export_argument(p_verify)
-    _add_format_argument(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
 
-    p_design = subparsers.add_parser("design", help="parameters matching an entropy or ratio target")
-    target = p_design.add_mutually_exclusive_group(required=True)
+def _verify_options(parser: argparse.ArgumentParser) -> None:
+    _add_source_arguments(parser)
+    parser.add_argument("--n-max", type=int, default=12, help="largest length to compare")
+    _add_export_argument(parser)
+
+
+def _design_options(parser: argparse.ArgumentParser) -> None:
+    target = parser.add_mutually_exclusive_group(required=True)
     target.add_argument("--target-entropy", type=float, help="entropy to match")
     target.add_argument("--target-ratio", type=float, help="growth rate to match exactly")
-    scope = p_design.add_mutually_exclusive_group()
+    scope = parser.add_mutually_exclusive_group()
     scope.add_argument("--m", type=int, default=None, help="gap for --target-ratio")
     _add_range_argument(scope, "--m-range", (1, 3), "gaps to scan")
-    p_design.add_argument("--base", choices=("e", "2", "10"), default="e", help="logarithm base")
-    _add_range_argument(p_design, "--k-range", (2, 30), "alphabet sizes to scan")
-    p_design.add_argument("--tol", type=float, default=1e-9, help="acceptable entropy deviation")
-    _add_format_argument(p_design)
-    p_design.set_defaults(handler=_cmd_design)
+    parser.add_argument("--base", choices=("e", "2", "10"), default="e", help="logarithm base")
+    _add_range_argument(parser, "--k-range", (2, 30), "alphabet sizes to scan")
+    parser.add_argument("--tol", type=float, default=1e-9, help="acceptable entropy deviation")
 
-    p_table = subparsers.add_parser("table", help="growth rate and entropy over a parameter grid")
-    _add_range_argument(p_table, "--m-range", (1, 3), "gaps to scan")
-    _add_range_argument(p_table, "--k-range", (2, 30), "alphabet sizes to scan")
-    p_table.add_argument("--base", choices=("e", "2", "10"), default="e", help="logarithm base")
-    _add_format_argument(p_table)
-    p_table.set_defaults(handler=_cmd_table)
 
+def _table_options(parser: argparse.ArgumentParser) -> None:
+    _add_range_argument(parser, "--m-range", (1, 3), "gaps to scan")
+    _add_range_argument(parser, "--k-range", (2, 30), "alphabet sizes to scan")
+    parser.add_argument("--base", choices=("e", "2", "10"), default="e", help="logarithm base")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with options on the named subcommand only, or on all seven for None.
+
+    Every subcommand is added with its name and help either way, so the
+    top-level help, usage lines and unknown-command errors do not depend on
+    the name; a subcommand without options is one argparse never reaches
+    for an argv that names another.
+    """
+    parser = _ArgumentParser(
+        prog="shiftspace",
+        description="Count, enumerate, and analyze shift spaces given by forbidden blocks.",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    # each subcommand's help, the function that adds its options but
+    # --format, and its handler, in the order the top-level help lists them;
+    # read at each call, so a handler replaced on this module is dispatched
+    commands = {
+        "count": ("number of allowed blocks of one length", _count_options, _cmd_count),
+        "enumerate": ("list the allowed blocks of one length", _enumerate_options, _cmd_enumerate),
+        "sequence": ("counts for every length up to a bound", _sequence_options, _cmd_sequence),
+        "entropy": ("growth rate and entropy", _entropy_options, _cmd_entropy),
+        "verify": ("check counting methods against each other", _verify_options, _cmd_verify),
+        "design": ("parameters matching an entropy or ratio target", _design_options, _cmd_design),
+        "table": ("growth rate and entropy over a parameter grid", _table_options, _cmd_table),
+    }
+    for name, (help, add_options, handler) in commands.items():
+        subparser = subparsers.add_parser(name, help=help)
+        if command is None or command == name:
+            add_options(subparser)
+            subparser.add_argument(
+                "--format", choices=("text", "csv", "json"), default="text", help="output format"
+            )
+            subparser.set_defaults(handler=handler)
     return parser
+
+
+def _command_of(argv: Sequence[str]) -> str | None:
+    """The argument argparse dispatches on, if it names a command; None when there is none.
+
+    It is the first argument that does not start with "-": the top-level
+    parser's only option, --help, takes no value, so every earlier argument
+    is an option, and no command's name starts with "-".
+    """
+    return next((arg for arg in argv if not arg.startswith("-")), None)
 
 
 def _progress_text(exc: ConvergenceError) -> str:
@@ -429,9 +481,9 @@ def _progress_text(exc: ConvergenceError) -> str:
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, run one command, and return the exit code."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(_command_of(argv)).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     # counts print in full however many digits they have; Python 3.11 caps

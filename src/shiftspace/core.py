@@ -28,7 +28,7 @@ window states, ``tmk_spec`` and ``parse_block`` after its digit check,
 
 from __future__ import annotations
 
-import re
+import sys
 from collections import deque
 from collections.abc import Iterable, Iterator
 from functools import total_ordering
@@ -39,16 +39,28 @@ from .errors import (
     OutOfAlphabetError,
     ParameterError,
     ParseError,
+    ResourceLimitError,
     ValidationError,
 )
-
-_SPEC_HEADER = re.compile(r"^k\s*=\s*(\d+)$")
 
 
 def _require_int(name: str, value, minimum: int) -> None:
     """Raise ParameterError unless value is an integer, not a bool, of at least minimum."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _require_n_max(n_max) -> None:
+    """Raise unless n_max is an integer >= 1 whose counts 1..n_max a sequence can index.
+
+    Past sys.maxsize - 1 the lengths outgrow every index, so such an n_max
+    is refused with ResourceLimitError before any count is computed.
+    """
+    _require_int("n_max", n_max, 1)
+    if n_max >= sys.maxsize:
+        raise ResourceLimitError(
+            f"n_max = {n_max} is past the {sys.maxsize - 1} lengths a sequence of counts can index"
+        )
 
 
 def _require_ints(name: str, values: tuple) -> None:
@@ -347,6 +359,22 @@ def validate_spec(spec: ShiftSpaceSpec) -> ShiftSpaceSpec:
     return spec
 
 
+def _spec_header(line: str) -> int | None:
+    r"""k of a ``k = <digits>`` header line, or None for any other line.
+
+    Accepts what re.fullmatch(r"k\s*=\s*(\d+)", line) accepts, with the
+    same k: \s and \d are str.isspace and str.isdecimal, so Unicode spaces
+    and digits count.  A block line has no "=" and is turned away by the
+    partition alone, as cheaply as a compiled pattern's match.
+    """
+    key, equals, value = line.partition("=")
+    if equals and key.rstrip() == "k":
+        value = value.lstrip()
+        if value.isdecimal():
+            return int(value)
+    return None
+
+
 def load_spec_file(path: str | Path) -> ShiftSpaceSpec:
     """Load, validate, and normalize a spec from a text file.
 
@@ -360,11 +388,11 @@ def load_spec_file(path: str | Path) -> ShiftSpaceSpec:
         content = line.split("#", 1)[0].strip()
         if not content:
             continue
-        header = _SPEC_HEADER.match(content)
+        header = _spec_header(content)
         if alphabet_size is None:
             if header is None:
                 raise ParseError(f"{path}:{lineno}: expected a k=<int> line before any block")
-            alphabet_size = int(header.group(1))
+            alphabet_size = header
             if alphabet_size < 1:
                 raise ValidationError([f"{path}:{lineno}: alphabet size must be at least 1"])
             continue

@@ -43,6 +43,7 @@ from .core import (
     TmkParams,
     _require_in_alphabet,
     _require_int,
+    _require_n_max,
     validate_spec,
 )
 from .errors import ResourceLimitError
@@ -120,10 +121,11 @@ def enumerate_blocks_constructive(params: TmkParams, n: int) -> list[Block]:
     _require_int("block length", n, 0)
     m, k = params.m, params.k
     # the counts never decrease, a(j) = a(j-1) + (k-1) * a(j-m-1), so the
-    # walk can stop at the first length whose count is over the cap, and a
+    # walk can stop at the first length whose count is over the cap; a
     # length whose a(min(n, m + 1)) = 1 + min(n, m + 1)(k - 1) is already
-    # over it is refused without the walk, however large n and m are
-    if 1 + min(n, m + 1) * (k - 1) > MAX_CANDIDATES or any(
+    # over it, however large m is, or n >= MAX_CANDIDATES, since each step
+    # adds at least one block and so a(n) >= n + 1, is refused without it
+    if n >= MAX_CANDIDATES or 1 + min(n, m + 1) * (k - 1) > MAX_CANDIDATES or any(
         count > MAX_CANDIDATES for count in islice(_tmk_terms(params), n + 1)
     ):
         raise ResourceLimitError(
@@ -247,8 +249,8 @@ def count_blocks(spec: ShiftSpaceSpec, n: int) -> int:
 
 
 def count_sequence(spec: ShiftSpaceSpec, n_max: int) -> CountSequence:
-    """Exact counts for every length 1..n_max."""
+    """Exact counts for every length 1..n_max; an n_max past sys.maxsize - 1 is refused."""
     validate_spec(spec)
-    _require_int("n_max", n_max, 1)
+    _require_n_max(n_max)
     counts = tuple(islice(_count_iter(_successor_lists(spec)), 1, n_max + 1))
     return CountSequence(counts=counts, n_min=1)

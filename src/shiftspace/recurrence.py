@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from itertools import islice
 from operator import mul
 
-from .core import CountSequence, TmkParams, _require_int, _require_ints, _Value
+from .core import CountSequence, TmkParams, _require_int, _require_ints, _require_n_max, _Value
 from .errors import ParameterError
 
 # a Mersenne prime; residues below it keep every product within two words
@@ -319,8 +319,9 @@ def sum_recurrence_three_symbol(n_max: int) -> CountSequence:
     """Counts for the three-symbol space with 11 and 22 forbidden.
 
     a(1) = 3 and a(n) = a(n-1) + 2 * (a(1) + ... + a(n-2)) + 4 for n >= 2.
+    An n_max past sys.maxsize - 1 is refused.
     """
-    _require_int("n_max", n_max, 1)
+    _require_n_max(n_max)
     terms = [3]
     prefix = 0  # a(1) + ... + a(n-2), empty for n = 2
     for _ in range(2, n_max + 1):

@@ -18,6 +18,10 @@ from .errors import ParameterError
 
 _LOG_FUNCTIONS = {"e": math.log, "2": math.log2, "10": math.log10}
 
+# the default tolerance of transfer's power iteration, kept beside
+# _require_tol so that the CLI's entropy options need not import transfer
+DEFAULT_TOL = 1e-9
+
 
 def _log(value: float, log_base: str) -> float:
     try:

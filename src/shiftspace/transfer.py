@@ -45,11 +45,10 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
 )
-from .spectral import EntropyReport, _log, _require_tol
+from .spectral import DEFAULT_TOL, EntropyReport, _log, _require_tol
 
 MAX_STATES = 2**20
 MAX_ITERATIONS = 10**6
-DEFAULT_TOL = 1e-9
 
 
 class AdjacencyMatrix(_Value):

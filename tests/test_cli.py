@@ -443,6 +443,32 @@ def test_constructive_past_a_huge_m_is_refused_at_once(capsys, no_tmk_spec, m):
     )
 
 
+PAST_MAXSIZE = str(10**20)
+WORDS40 = str(Path(__file__).parent / "data" / "words40.txt")
+N_MAX_PAST_MAXSIZE = (
+    f"n_max = {PAST_MAXSIZE} is past the {sys.maxsize - 1} lengths a sequence of counts can index"
+)
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["sequence", "--tmk", "1,2", "--n-max", PAST_MAXSIZE], N_MAX_PAST_MAXSIZE),
+        (["sequence", "--spec", WORDS40, "--n-max", PAST_MAXSIZE], N_MAX_PAST_MAXSIZE),
+        (["sequence", "--three-symbol", "--n-max", PAST_MAXSIZE], N_MAX_PAST_MAXSIZE),
+        (["verify", "--tmk", "1,2", "--n-max", PAST_MAXSIZE], N_MAX_PAST_MAXSIZE),
+        (
+            ["enumerate", "--tmk", "1,2", "--n", PAST_MAXSIZE, "--order", "constructive"],
+            f"materializing the allowed blocks of length {PAST_MAXSIZE} exceeds the cap of 16777216 blocks",
+        ),
+    ],
+    ids=["sequence-tmk", "sequence-spec", "sequence-three-symbol", "verify", "enumerate-constructive"],
+)
+def test_lengths_past_maxsize_are_refused(capsys, argv, message):
+    # islice refused such a stop with a ValueError traceback
+    assert run_cli(capsys, *argv) == (1, "", f"shiftspace: error: {message}\n")
+
+
 @pytest.mark.parametrize("m", [*HUGE_M, pytest.param(10**7, id="10^7")])
 @pytest.mark.parametrize(
     ("argv", "expected"),

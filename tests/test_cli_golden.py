@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftspace.cli import _build_parser, run
+from shiftspace.cli import _build_parser, _command_of, run
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
@@ -48,3 +48,45 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch, tmp_path):
     assert captured.err.replace(tmp, "{tmp}") == case["stderr"]
     assert code == case["code"]
     assert (export.read_text() if export.exists() else None) == case["exported"]
+
+
+def _parse(parser, argv, capsys):
+    """Exit code (None when the parse succeeds), stdout, stderr and parsed values of one parse.
+
+    The values are compared by repr, since a nan option is unequal to itself.
+    """
+    capsys.readouterr()
+    try:
+        values, code = repr(sorted(vars(parser.parse_args(argv)).items())), None
+    except SystemExit as exc:
+        values, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, values
+
+
+# arguments before the command that argparse skips or stops at
+DISPATCH_CASES = [
+    ["--", "count", "--tmk", "1,2", "--n", "4"],
+    ["-x", "count", "--tmk", "1,2", "--n", "4"],
+    ["--format", "json", "count", "--tmk", "1,2", "--n", "4"],
+    ["-", "count", "--tmk", "1,2", "--n", "4"],
+    ["-3", "table"],
+    ["-h", "count"],
+    ["--he", "verify"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [case["argv"] for case in GOLDEN["cases"]] + DISPATCH_CASES,
+    ids=[" ".join(case["argv"]) or "(no arguments)" for case in GOLDEN["cases"]]
+    + [" ".join(argv) for argv in DISPATCH_CASES],
+)
+def test_one_command_parser_parses_as_the_full_parser(argv, capsys, monkeypatch, tmp_path):
+    # run() adds options to the command _command_of names; its exit code,
+    # help, usage errors and Namespace must be the full parser's, on every
+    # Python version, where the golden replay skips argparse's own text
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    full = _parse(_build_parser(), argv, capsys)
+    assert _parse(_build_parser(_command_of(argv)), argv, capsys) == full

@@ -1,14 +1,16 @@
 import copy
 import inspect
 import pickle
+import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shiftspace
 from conftest import brute_force_blocks, spec_from_tuples
+from shiftspace import core
 from shiftspace import (
     Block,
     ForbiddenSet,
@@ -326,6 +328,44 @@ def test_load_spec_file_comma_alphabet(tmp_path):
     path.write_text("k=12\n10,11\n")
     spec = load_spec_file(path)
     assert set(spec.forbidden) == {Block((10, 11))}
+
+
+# k, =, ASCII and other decimal digits, a digit that is not decimal (²),
+# ASCII and Unicode spaces, and letters
+_HEADER_CHARS = "k=07\u0663\u0967\u00b2 \t\u00a0\u2003\u3000Kx\u00e9"
+_SPACES = st.text(st.sampled_from([" ", "\t", "\u00a0", "\u2003"]), max_size=3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.text(st.sampled_from(_HEADER_CHARS), max_size=8),
+        # near-headers: k, spaces, =, spaces, digits, each part maybe bent
+        st.tuples(
+            st.sampled_from(["k", "K", "", "kk", " k"]),
+            _SPACES,
+            st.sampled_from(["=", "", "=="]),
+            _SPACES,
+            st.text(st.sampled_from(["0", "3", "9", "\u0663", "\u0967", "\u00b2", "x"]), max_size=4),
+            st.sampled_from(["", " ", "=", "\u00a0"]),
+        ).map("".join),
+    )
+)
+@example("k\u00a0=\u2003\u0663")
+@example(" k=3")
+@example("k=3 ")
+@example("k=\u00b2")
+@example("k==3")
+@example("k=")
+def test_spec_header_accepts_what_the_header_pattern_accepts(line):
+    match = re.fullmatch(r"k\s*=\s*(\d+)", line)
+    assert core._spec_header(line) == (None if match is None else int(match.group(1)))
+
+
+def test_load_spec_file_reads_a_header_in_unicode_spaces_and_digits(tmp_path):
+    path = tmp_path / "unicode.txt"
+    path.write_text("k\u00a0=\u2003\u0663\n12\n", encoding="utf-8")
+    assert load_spec_file(path).alphabet_size == 3
 
 
 def test_load_spec_file_requires_header(tmp_path):

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import random
+import sys
 import time
 from itertools import islice, product
 
@@ -337,6 +338,16 @@ def test_constructive_refuses_over_the_cap_without_its_count(monkeypatch):
         enumerate_blocks_constructive(TmkParams(1, 2), 5)
     monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 13)
     assert len(enumerate_blocks_constructive(TmkParams(1, 2), 5)) == 13
+
+
+def test_lengths_past_maxsize_are_refused_before_islice(golden_spec):
+    # islice takes no stop past sys.maxsize; a(n) >= n + 1 refuses every
+    # n >= MAX_CANDIDATES of the constructive order without a walk
+    with pytest.raises(ResourceLimitError, match=f"^n_max = {sys.maxsize} is past"):
+        count_sequence(golden_spec, sys.maxsize)
+    with pytest.raises(ResourceLimitError, match=f"^materializing the allowed blocks of length {10**20} "):
+        enumerate_blocks_constructive(TmkParams(1, 2), 10**20)
+    core._require_n_max(sys.maxsize - 1)
 
 
 def test_constructive_order_golden_mean():
