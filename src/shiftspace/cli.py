@@ -23,7 +23,7 @@ from itertools import chain, islice, repeat
 from pathlib import Path
 
 from . import core
-from .errors import ConvergenceError, ParameterError, ResourceLimitError, ShiftSpaceError
+from .errors import ConvergenceError, ParameterError, ShiftSpaceError
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -86,16 +86,6 @@ def _add_range_argument(container, flag: str, default: tuple[int, int], help: st
 
 def _resolve_spec(args) -> core.ShiftSpaceSpec:
     if getattr(args, "tmk", None) is not None:
-        from . import transfer
-
-        # a family too wide for the automaton's state cap is refused before
-        # its forbidden set is built
-        size = (args.tmk.k - 1) ** 2 * args.tmk.m
-        if size > transfer.MAX_STATES:
-            raise ResourceLimitError(
-                f"the spaced family's (k-1)^2 * m = {size} forbidden blocks exceed "
-                f"the cap of {transfer.MAX_STATES}"
-            )
         return core.tmk_spec(args.tmk)
     return core.load_spec_file(args.spec)
 
@@ -317,6 +307,8 @@ def _cmd_design(args) -> int:
             line = f"m={args.m} k={found} lambda0={_fmt(spectral.dominant_root(args.m, found))} exact"
         document = {"target_ratio": args.target_ratio, "m": args.m, "k": found}
         return _write(args, [line], ("m", "k"), [(args.m, found)], document)
+    if args.m is not None:
+        raise ParameterError("--target-entropy scans gaps; for the one gap M give --m-range M..M")
     results = design.design_for_entropy(
         args.target_entropy,
         log_base=args.base,

@@ -10,12 +10,13 @@ normalization of forbidden sets, and validation.
 Every public record of the package (here and in the other modules) is an
 immutable value built on ``_Value``.  Its fields are its ``__slots__``, in
 constructor order; its ``__init__`` takes them positionally or by keyword,
-sets them with one ``_Value.__init__`` call, then validates.  Where a
-record has ``as_dict``, it is the base's dict of the slots, in slot order.
-Records are equal when of one class with equal field tuples, and hash as
-their field tuple.  The repr is ``Name(field=value, ...)``.  Assigning or
-deleting an attribute raises AttributeError; pickle and copy rebuild a
-record through its constructor.
+sets them with one ``_Value.__init__`` call, then validates, so a record
+that exists is valid: a ``ShiftSpaceSpec`` is checked once, when built.
+Where a record has ``as_dict``, it is the base's dict of the slots, in slot
+order.  Records are equal when of one class with equal field tuples, and
+hash as their field tuple.  The repr is ``Name(field=value, ...)``.
+Assigning or deleting an attribute raises AttributeError; pickle and copy
+rebuild a record through its constructor.
 
 ``Block._of(symbols)`` builds a block without the constructor's symbol
 check, and ``Block._many(tuples)`` builds the list of such blocks of a
@@ -213,7 +214,11 @@ class ForbiddenSet(_Value):
 
 
 class ShiftSpaceSpec(_Value):
-    """Alphabet size together with the forbidden blocks."""
+    """Alphabet size together with the forbidden blocks.
+
+    Raises ParameterError for a non-integer alphabet size, then
+    validate_spec's ValidationError, so the algorithms never check a spec.
+    """
 
     __slots__ = ("alphabet_size", "forbidden")
 
@@ -221,6 +226,7 @@ class ShiftSpaceSpec(_Value):
         _Value.__init__(self, alphabet_size, forbidden)
         if not isinstance(alphabet_size, int) or isinstance(alphabet_size, bool):
             raise ParameterError("alphabet_size must be an integer")
+        validate_spec(self)
 
 
 class TmkParams(_Value):
@@ -270,9 +276,18 @@ def tmk_spec(params: TmkParams) -> ShiftSpaceSpec:
     """Spec of the spaced family: nonzero symbols at least m apart.
 
     The forbidden set is every block a 0^j b with a, b nonzero and
-    0 <= j < m, which is (k-1)^2 * m blocks and already minimal.
+    0 <= j < m, which is (k-1)^2 * m blocks and already minimal.  Past
+    transfer.MAX_STATES blocks, ResourceLimitError refuses before any is built.
     """
+    from . import transfer
+
     m, k = params.m, params.k
+    size = (k - 1) ** 2 * m
+    if size > transfer.MAX_STATES:
+        raise ResourceLimitError(
+            f"the spaced family's (k-1)^2 * m = {size} forbidden blocks exceed "
+            f"the cap of {transfer.MAX_STATES}"
+        )
     blocks = [
         Block._of((a,) + (0,) * j + (b,))
         for a in range(1, k)
@@ -339,24 +354,20 @@ def block_text(block: Block, alphabet_size: int) -> str:
 
 
 def validate_spec(spec: ShiftSpaceSpec) -> ShiftSpaceSpec:
-    """Return the spec unchanged, or raise ValidationError with every violation."""
+    """Return the spec unchanged, or raise ValidationError with every violation.
+
+    ShiftSpaceSpec's constructor applies this rule, so a built spec comes back as itself.
+    """
     k = spec.alphabet_size
     if k >= 1 and max((max(b.symbols) for b in spec.forbidden), default=0) < k:
         return spec
-    violations: list[str] = []
-    if spec.alphabet_size < 1:
-        violations.append(f"alphabet size must be at least 1, got {spec.alphabet_size}")
-    else:
-        for block in sorted(spec.forbidden, key=lambda b: (len(b), b.symbols)):
-            bad = [s for s in block if s >= spec.alphabet_size]
-            if bad:
-                violations.append(
-                    f"block {block.symbols} uses symbols {sorted(set(bad))} outside "
-                    f"alphabet of size {spec.alphabet_size}"
-                )
-    if violations:
-        raise ValidationError(violations)
-    return spec
+    if k < 1:
+        raise ValidationError([f"alphabet size must be at least 1, got {k}"])
+    order = sorted(spec.forbidden, key=lambda b: (len(b), b.symbols))
+    bad = [(b, sorted({s for s in b.symbols if s >= k})) for b in order]
+    raise ValidationError(
+        [f"block {b.symbols} uses symbols {s} outside alphabet of size {k}" for b, s in bad if s]
+    )
 
 
 def _spec_header(line: str) -> int | None:
@@ -404,6 +415,4 @@ def load_spec_file(path: str | Path) -> ShiftSpaceSpec:
             raise type(exc)(f"{path}:{lineno}: {exc}") from None
     if alphabet_size is None:
         raise ParseError(f"{path}: no k=<int> line found")
-    # parse_block has refused every symbol outside the alphabet, with its
-    # line, and the header every k < 1, so validate_spec has nothing to find
     return ShiftSpaceSpec(alphabet_size=alphabet_size, forbidden=normalize_forbidden_set(raw))

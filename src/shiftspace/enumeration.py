@@ -44,7 +44,6 @@ from .core import (
     _require_in_alphabet,
     _require_int,
     _require_n_max,
-    validate_spec,
 )
 from .errors import ResourceLimitError
 from .recurrence import _proven_recurrence, _tmk_terms, evaluate
@@ -70,7 +69,6 @@ def _suffix_clear(prefix, table) -> bool:
 
 def is_allowed(spec: ShiftSpaceSpec, block: Block) -> bool:
     """Whether the block avoids every forbidden block as a factor."""
-    validate_spec(spec)
     _require_in_alphabet(block.symbols, spec.alphabet_size)
     return not any(block.contains_factor(f) for f in spec.forbidden)
 
@@ -84,7 +82,6 @@ def enumerate_blocks(spec: ShiftSpaceSpec, n: int) -> list[Block]:
     bit length is refused without computing k^n.  One symbol has the one
     candidate 0^n, allowed below the shortest forbidden run; no layer grows.
     """
-    validate_spec(spec)
     _require_int("block length", n, 0)
     k = spec.alphabet_size
     if k > 1 and (n >= MAX_CANDIDATES.bit_length() or k**n > MAX_CANDIDATES):
@@ -233,7 +230,6 @@ def count_blocks(spec: ShiftSpaceSpec, n: int) -> int:
     (recurrence._proven_recurrence), which recurrence.evaluate powers to n;
     otherwise, or when the proof fails, the counter walks to n.
     """
-    validate_spec(spec)
     _require_int("block length", n, 0)
     out = _successor_lists(spec)
     counts = _count_iter(out)
@@ -250,7 +246,6 @@ def count_blocks(spec: ShiftSpaceSpec, n: int) -> int:
 
 def count_sequence(spec: ShiftSpaceSpec, n_max: int) -> CountSequence:
     """Exact counts for every length 1..n_max; an n_max past sys.maxsize - 1 is refused."""
-    validate_spec(spec)
     _require_n_max(n_max)
     counts = tuple(islice(_count_iter(_successor_lists(spec)), 1, n_max + 1))
     return CountSequence(counts=counts, n_min=1)

@@ -38,7 +38,7 @@ from itertools import chain, islice, product, repeat
 from math import fsum
 from operator import add, and_, mul, truediv
 
-from .core import Block, ShiftSpaceSpec, _require_int, _Value, validate_spec
+from .core import Block, ShiftSpaceSpec, _require_int, _Value
 from .errors import (
     ConvergenceError,
     EmptyShiftSpaceError,
@@ -108,7 +108,6 @@ def build_automaton(spec: ShiftSpaceSpec) -> TransferAutomaton:
     Raises ResourceLimitError as soon as a layer of allowed blocks, of a
     length up to the window, holds more than MAX_STATES.
     """
-    validate_spec(spec)
     k = spec.alphabet_size
     window = max(2, spec.forbidden.max_length) - 1
     banned = _banned_codes(spec)

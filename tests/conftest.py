@@ -47,6 +47,16 @@ def spec_from_tuples(k, forbidden):
 
 
 @pytest.fixture
+def no_block(monkeypatch):
+    """Fails the test when a block is built through Block._of."""
+
+    def refuse(symbols):
+        raise AssertionError("Block._of called")
+
+    monkeypatch.setattr(Block, "_of", refuse)
+
+
+@pytest.fixture
 def golden_spec():
     return tmk_spec(TmkParams(1, 2))
 

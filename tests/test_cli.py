@@ -509,7 +509,7 @@ def test_spaced_family_at_a_huge_m_reads_only_the_terms_it_prints(
     ids=["verify", "entropy", "enumerate"],
 )
 def test_a_family_past_the_state_cap_is_refused_before_its_forbidden_set(
-    capsys, no_tmk_spec, argv, m, k
+    capsys, no_block, argv, m, k
 ):
     # in process, so an escaping MemoryError fails the test; enumerate
     # --tmk 1,2000 --n 2 used to build 3,996,001 blocks for 3999 answers
@@ -856,6 +856,22 @@ def test_table_refuses_a_grid_over_the_cap(capsys):
     assert code == 1
     assert out == ""
     assert "pairs" in err and "Traceback" not in err
+
+
+def test_design_entropy_refuses_a_single_m(capsys):
+    # --m is the gap of --target-ratio; an entropy target takes one gap as
+    # --m-range M..M, so a lone --m is refused rather than dropped
+    code, out, err = run_cli(capsys, "design", "--target-entropy", "0.6931471805599453", "--m", "2")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "shiftspace: error: --target-entropy scans gaps; for the one gap M give --m-range M..M\n"
+    )
+    code, out, _ = run_cli(
+        capsys, "design", "--target-entropy", "0.6931471805599453", "--m-range", "2..2"
+    )
+    assert code == 0
+    assert out == "m=2 k=5 lambda0=2 entropy=0.693147180559945 exact\n"
 
 
 def test_design_mutually_exclusive_targets(capsys):

@@ -3,6 +3,7 @@ import inspect
 import pickle
 import re
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 
 import shiftspace
 from conftest import brute_force_blocks, spec_from_tuples
-from shiftspace import core
+from shiftspace import core, transfer
 from shiftspace import (
     Block,
     ForbiddenSet,
     OutOfAlphabetError,
     ParameterError,
     ParseError,
+    ResourceLimitError,
     ShiftSpaceSpec,
     TmkParams,
     ValidationError,
@@ -274,23 +276,21 @@ def test_validate_spec_accepts_valid():
 
 
 def test_validate_spec_reports_out_of_alphabet_block():
-    spec = spec_from_tuples(2, [(1, 2)])
     with pytest.raises(ValidationError) as info:
-        validate_spec(spec)
+        spec_from_tuples(2, [(1, 2)])
     assert "(1, 2)" in str(info.value)
 
 
 def test_validate_spec_aggregates_all_violations():
-    spec = spec_from_tuples(2, [(1, 2), (3, 3), (0, 1)])
     with pytest.raises(ValidationError) as info:
-        validate_spec(spec)
+        spec_from_tuples(2, [(1, 2), (3, 3), (0, 1)])
     assert len(info.value.violations) == 2
 
 
 def test_validate_spec_lists_violations_by_length_then_symbols():
-    spec = spec_from_tuples(2, [(4, 2, 2), (0,), (2, 0), (5,), (3, 0, 1), (1, 2), (0, 1)])
+    blocks = [(4, 2, 2), (0,), (2, 0), (5,), (3, 0, 1), (1, 2), (0, 1)]
     with pytest.raises(ValidationError) as info:
-        validate_spec(spec)
+        spec_from_tuples(2, blocks)
     assert info.value.violations == [
         "block (5,) uses symbols [5] outside alphabet of size 2",
         "block (1, 2) uses symbols [2] outside alphabet of size 2",
@@ -299,13 +299,84 @@ def test_validate_spec_lists_violations_by_length_then_symbols():
         "block (4, 2, 2) uses symbols [2, 4] outside alphabet of size 2",
     ]
     with pytest.raises(ValidationError) as info:
-        validate_spec(ShiftSpaceSpec(0, spec.forbidden))
+        ShiftSpaceSpec(0, ForbiddenSet(Block(b) for b in blocks))
     assert info.value.violations == ["alphabet size must be at least 1, got 0"]
 
 
 def test_validate_spec_alphabet_size():
     with pytest.raises(ValidationError):
-        validate_spec(ShiftSpaceSpec(0, ForbiddenSet()))
+        ShiftSpaceSpec(0, ForbiddenSet())
+
+
+def _reference_validate_spec(spec):
+    """validate_spec as it was before ShiftSpaceSpec's constructor applied it."""
+    k = spec.alphabet_size
+    if k >= 1 and max((max(b.symbols) for b in spec.forbidden), default=0) < k:
+        return spec
+    violations: list[str] = []
+    if spec.alphabet_size < 1:
+        violations.append(f"alphabet size must be at least 1, got {spec.alphabet_size}")
+    else:
+        for block in sorted(spec.forbidden, key=lambda b: (len(b), b.symbols)):
+            bad = [s for s in block if s >= spec.alphabet_size]
+            if bad:
+                violations.append(
+                    f"block {block.symbols} uses symbols {sorted(set(bad))} outside "
+                    f"alphabet of size {spec.alphabet_size}"
+                )
+    if violations:
+        raise ValidationError(violations)
+    return spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(min_value=-2, max_value=5),
+    blocks=st.lists(
+        st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=4).map(tuple),
+        max_size=6,
+    ),
+)
+def test_the_constructor_enforces_the_old_rule(k, blocks):
+    forbidden = ForbiddenSet(Block(b) for b in blocks)
+    try:
+        _reference_validate_spec(SimpleNamespace(alphabet_size=k, forbidden=forbidden))
+    except ValidationError as reference:
+        with pytest.raises(ValidationError) as info:
+            ShiftSpaceSpec(k, forbidden)
+        assert info.value.violations == reference.violations
+        return
+    spec = ShiftSpaceSpec(k, forbidden)
+    assert validate_spec(spec) is spec
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert twin == spec and type(twin) is ShiftSpaceSpec
+        assert (twin.alphabet_size, twin.forbidden) == (k, forbidden)
+
+
+@pytest.mark.parametrize(
+    ("m", "k"),
+    [
+        pytest.param(10**309, 2, id="10^309,2"),
+        pytest.param(transfer.MAX_STATES + 1, 2, id="cap+1,2"),
+        pytest.param(1, 2000, id="1,2000"),
+    ],
+)
+def test_tmk_spec_refuses_a_family_past_the_state_cap(no_block, m, k):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as info:
+        tmk_spec(TmkParams(m, k))
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == (
+        f"the spaced family's (k-1)^2 * m = {(k - 1) ** 2 * m} forbidden "
+        f"blocks exceed the cap of {transfer.MAX_STATES}"
+    )
+
+
+def test_tmk_spec_reads_the_state_cap_at_call_time(monkeypatch):
+    assert len(tmk_spec(TmkParams(2, 3)).forbidden) == 8
+    monkeypatch.setattr(transfer, "MAX_STATES", 7)
+    with pytest.raises(ResourceLimitError, match="= 8 forbidden blocks exceed the cap of 7$"):
+        tmk_spec(TmkParams(2, 3))
 
 
 def test_load_spec_file(tmp_path):

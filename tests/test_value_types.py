@@ -337,6 +337,13 @@ def test_block_ordering():
         (lambda: Block(("a",)), ParameterError, "block symbols must be non-negative integers, got 'a'"),
         (lambda: ForbiddenSet([Block(())]), ValidationError, "forbidden blocks must be nonempty"),
         (lambda: ShiftSpaceSpec("2"), ParameterError, "alphabet_size must be an integer"),
+        (lambda: ShiftSpaceSpec(0), ValidationError, "alphabet size must be at least 1, got 0"),
+        (
+            lambda: ShiftSpaceSpec(2, ForbiddenSet([Block((2, 0)), Block((1,)), Block((3,))])),
+            ValidationError,
+            "block (3,) uses symbols [3] outside alphabet of size 2; "
+            "block (2, 0) uses symbols [2] outside alphabet of size 2",
+        ),
         (lambda: TmkParams(0, 2), ParameterError, "m must be an integer >= 1, got 0"),
         (lambda: TmkParams(0, 1), ParameterError, "m must be an integer >= 1, got 0"),
         (lambda: TmkParams(1, 1), ParameterError, "k must be an integer >= 2, got 1"),
