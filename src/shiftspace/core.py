@@ -216,8 +216,9 @@ class ForbiddenSet(_Value):
 class ShiftSpaceSpec(_Value):
     """Alphabet size together with the forbidden blocks.
 
-    Raises ParameterError for a non-integer alphabet size, then
-    validate_spec's ValidationError, so the algorithms never check a spec.
+    Raises ParameterError for a non-integer alphabet size or a forbidden
+    that is not a ForbiddenSet, then validate_spec's ValidationError, so the
+    algorithms never check a spec.
     """
 
     __slots__ = ("alphabet_size", "forbidden")
@@ -226,6 +227,8 @@ class ShiftSpaceSpec(_Value):
         _Value.__init__(self, alphabet_size, forbidden)
         if not isinstance(alphabet_size, int) or isinstance(alphabet_size, bool):
             raise ParameterError("alphabet_size must be an integer")
+        if not isinstance(forbidden, ForbiddenSet):
+            raise ParameterError(f"forbidden must be a ForbiddenSet, got {type(forbidden).__name__}")
         validate_spec(self)
 
 

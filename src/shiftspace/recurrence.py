@@ -16,7 +16,7 @@ import sys
 from collections import deque
 from collections.abc import Iterator
 from itertools import islice
-from operator import mul
+from operator import eq, mul
 
 from .core import CountSequence, TmkParams, _require_int, _require_ints, _require_n_max, _Value
 from .errors import ParameterError
@@ -251,8 +251,9 @@ def _proven_recurrence(terms: tuple[int, ...]) -> LinearRecurrence | None:
     """The minimal recurrence of a(0), a(1), ... checked on all N terms, or None.
 
     A Berlekamp-Massey pass modulo 2^61 - 1 gives a length L.  Its lift to
-    the symmetric range is kept when 0 < L <= (N - 2) / 2 and it reproduces
-    every term; it is then the only shortest recurrence over the rationals
+    the symmetric range is kept when 0 < L <= (N - 2) / 2 and walking it
+    reproduces every term, a(n) from n = L on, up to the first difference;
+    it is then the only shortest recurrence over the rationals
     (Massey 1969), which is all infer_recurrence needs.  One of length
     L' < L, scaled to primitive integers with its first j coefficients, from
     that of a(n), divisible by the prime, would give length at most L' - j
@@ -278,19 +279,9 @@ def _proven_recurrence(terms: tuple[int, ...]) -> LinearRecurrence | None:
         coefficients.pop()
     if not coefficients:
         return None
-    order = len(coefficients)
-    backwards = terms[::-1]
-    last = len(terms) - 1
-    # a(n) against coefficients[j-1] * a(n-j), j = 1..order, for n = L..N-1
-    if any(
-        terms[n] != sum(map(mul, coefficients, backwards[last - n + 1 : last - n + 1 + order]))
-        for n in range(length, len(terms))
-    ):
-        return None
-    offset = length - order
-    return LinearRecurrence(
-        coefficients=tuple(coefficients), initial_terms=terms[offset:length], offset=offset
-    )
+    offset = length - len(coefficients)
+    rec = LinearRecurrence(tuple(coefficients), terms[offset:length], offset)
+    return rec if all(map(eq, _term_iter(rec), terms[offset:])) else None
 
 
 def infer_recurrence(counts: CountSequence, max_order: int) -> LinearRecurrence | None:

@@ -94,24 +94,21 @@ def _newton_guess(m: int, log_c: float) -> float:
 def _root_from_guess(m: int, k: int, guess: float) -> float:
     """The upper end of the adjacent floats where the sign test turns, from guess in [1, k].
 
-    A bracket of adjacent floats at the guess widens outward, doubling its
-    width after each test that finds the root outside it; its ends stay
-    within [1, k], where the test is false at 1 and true at k.  The
-    midpoint bisection then narrows it to adjacent floats.
+    A bracket widens from the guess toward 1 if the test holds there and
+    toward k if not, doubling its step, clamped to [1, k], until the test
+    turns, at the latest at the end, where it is false at 1 and true at k.
+    The midpoint bisection then narrows it to adjacent floats.
     """
     top, c, log_c = float(k), float(k - 1), math.log(k - 1)
-    lo = hi = guess
-    width = math.ulp(guess)
-    if _at_or_above(guess, m, c, log_c):
-        lo = max(1.0, hi - width)
-        while lo > 1.0 and _at_or_above(lo, m, c, log_c):
-            hi, width = lo, 2.0 * width
-            lo = max(1.0, hi - width)
-    else:
-        hi = min(top, lo + width)
-        while hi < top and not _at_or_above(hi, m, c, log_c):
-            lo, width = hi, 2.0 * width
-            hi = min(top, lo + width)
+    above = _at_or_above(guess, m, c, log_c)
+    step = -math.ulp(guess) if above else math.ulp(guess)
+    near = guess
+    while True:
+        far = min(max(1.0, near + step), top)
+        if _at_or_above(far, m, c, log_c) != above:
+            break
+        near, step = far, 2.0 * step
+    lo, hi = (far, near) if above else (near, far)
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
         if _at_or_above(mid, m, c, log_c):

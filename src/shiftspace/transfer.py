@@ -5,9 +5,9 @@ least the longest forbidden block; an edge labeled s joins u to v when u
 extended by s is allowed and v is that extension with the first symbol
 dropped.  The build grows the allowed blocks one symbol at a time as base-k
 integer codes: a block is allowed exactly when its prefix and its suffix one
-shorter are and it is not itself forbidden, each layer within the state cap
-MAX_STATES.  It imports nothing from enumeration, so the three methods stay
-independent checks.
+shorter are and it is not itself forbidden, each layer and the edges within
+the state cap MAX_STATES.  It imports nothing from enumeration, so the three
+methods stay independent checks.
 
 One stream counts the allowed blocks of every length: below the window it
 yields the sizes of those layers, and allowed blocks of length n >= L-1
@@ -106,7 +106,8 @@ def build_automaton(spec: ShiftSpaceSpec) -> TransferAutomaton:
     """Block automaton over windows of length max(2, longest forbidden) - 1.
 
     Raises ResourceLimitError as soon as a layer of allowed blocks, of a
-    length up to the window, holds more than MAX_STATES.
+    length up to the window, or the edges, one per allowed block of length
+    window + 1, pass MAX_STATES.
     """
     k = spec.alphabet_size
     window = max(2, spec.forbidden.max_length) - 1
@@ -116,12 +117,13 @@ def build_automaton(spec: ShiftSpaceSpec) -> TransferAutomaton:
     index = {code: i for i, code in enumerate(codes)}
     shifts = [s * k**window for s in range(k)]
     banned_edges = banned.get(window + 1, set())
-    edges = [
+    grown = (
         (i, target, s)
         for i, code in enumerate(codes)
         for s, shift in enumerate(shifts)
         if (target := index.get((g := code + shift) // k)) is not None and g not in banned_edges
-    ]
+    )
+    edges = _capped(grown, window + 1)
     return TransferAutomaton(
         spec=spec,
         window=window,
@@ -155,7 +157,6 @@ def _layers(k: int, banned: dict[int, set[int]], length: int) -> Iterator[list[i
     """
     codes = [0]
     yield codes
-    stop = MAX_STATES + 1
     for j in range(1, length + 1):
         shorter = set(codes)
         shifts = [s * k ** (j - 1) for s in range(k)]
@@ -166,12 +167,18 @@ def _layers(k: int, banned: dict[int, set[int]], length: int) -> Iterator[list[i
             for shift in shifts
             if (g := code + shift) // k in shorter and g not in forbidden
         )
-        codes = list(islice(grown, stop))
-        if len(codes) == stop:
-            raise ResourceLimitError(
-                f"the allowed blocks of length {j} exceed the cap of {MAX_STATES} states"
-            )
+        codes = _capped(grown, j)
         yield codes
+
+
+def _capped(blocks: Iterator, length: int) -> list:
+    """The allowed blocks of a length as a list; ResourceLimitError at MAX_STATES + 1."""
+    kept = list(islice(blocks, MAX_STATES + 1))
+    if len(kept) > MAX_STATES:
+        raise ResourceLimitError(
+            f"the allowed blocks of length {length} exceed the cap of {MAX_STATES} states"
+        )
+    return kept
 
 
 def _digits(codes: list[int], k: int, width: int) -> list[tuple[int, ...]]:

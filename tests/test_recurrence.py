@@ -4,6 +4,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 
 import pytest
 from conftest import spec_from_tuples
@@ -28,6 +29,7 @@ from shiftspace import (
 from shiftspace import recurrence
 from shiftspace.core import _require_int
 from shiftspace.recurrence import (
+    _MODULUS,
     _berlekamp_massey_mod,
     _proven_recurrence,
     _term_iter,
@@ -638,6 +640,61 @@ def test_modular_pass_is_the_rational_pass_modulo_the_prime(terms):
     assert scaled + [0] * (width - len(scaled)) == residues + [0] * (width - len(residues))
 
 
+def reference_proven_recurrence(terms):
+    """_proven_recurrence with its exact check written over the reversed terms."""
+    connection, length = _berlekamp_massey_mod(terms, _MODULUS)
+    if not 0 < length <= (len(terms) - 2) // 2:
+        return None
+    half = _MODULUS // 2
+    coefficients = [(half - c) % _MODULUS - half for c in connection[1 : length + 1]]
+    while coefficients and not coefficients[-1]:
+        coefficients.pop()
+    if not coefficients:
+        return None
+    order = len(coefficients)
+    backwards = terms[::-1]
+    last = len(terms) - 1
+    # a(n) against coefficients[j-1] * a(n-j), j = 1..order, for n = L..N-1
+    if any(
+        terms[n] != sum(map(mul, coefficients, backwards[last - n + 1 : last - n + 1 + order]))
+        for n in range(length, len(terms))
+    ):
+        return None
+    offset = length - order
+    return LinearRecurrence(
+        coefficients=tuple(coefficients), initial_terms=terms[offset:length], offset=offset
+    )
+
+
+@st.composite
+def _terms_ending_in_zeros(draw):
+    head = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=10))
+    return head + [0] * draw(st.integers(min_value=1, max_value=8))
+
+
+@st.composite
+def _terms_off_by_the_prime(draw):
+    """Counts with one term moved by a multiple of the prime: the modular pass cannot see it."""
+    terms = draw(_spec_counts())
+    i = draw(st.integers(min_value=0, max_value=len(terms) - 1))
+    terms[i] += draw(st.sampled_from([-1, 1, 2])) * _MODULUS
+    return terms
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    terms=st.one_of(
+        _spec_counts(),
+        _perturbed_recurrence_terms(),
+        _terms_ending_in_zeros(),
+        _terms_off_by_the_prime(),
+    )
+)
+def test_proven_recurrence_walks_the_lift_as_the_reversed_check_did(terms):
+    terms = tuple(terms)
+    assert _proven_recurrence(terms) == reference_proven_recurrence(terms)
+
+
 def test_proven_recurrence_lifts_negative_coefficients():
     terms = [1, 1]
     while len(terms) < 6:
@@ -657,6 +714,8 @@ def test_proven_recurrence_moves_a_zero_tail_into_the_offset():
 def test_proven_recurrence_refuses_what_it_cannot_prove():
     # 2^61 is 1 modulo 2^61 - 1, so the lifted coefficient 1 fails the check
     assert _proven_recurrence(tuple(2 ** (61 * n) for n in range(4))) is None
+    # 1, 1, 1, 1 modulo the prime, so only the last term fails the lift a(n) = a(n-1)
+    assert _proven_recurrence((1, 1, 1, 1 + 2**61 - 1)) is None
     # zero from n = 2 on: no recurrence with a nonzero trailing coefficient
     assert _proven_recurrence((1, 2, 0, 0)) is None
     # order 3 needs 8 terms

@@ -130,6 +130,61 @@ def test_bracket_grows_from_any_guess_to_the_reference_pair(m, k):
         assert _root_from_guess(m, k, guess) == root, guess
 
 
+def reference_root_from_guess(m, k, guess):
+    """_root_from_guess with its bracket grown by one loop for each direction."""
+    top, c, log_c = float(k), float(k - 1), math.log(k - 1)
+
+    def at_or_above(x):
+        try:
+            return x**m * (x - 1.0) >= c
+        except OverflowError:
+            return m * math.log(x) + math.log(x - 1.0) >= log_c
+
+    lo = hi = guess
+    width = math.ulp(guess)
+    if at_or_above(guess):
+        lo = max(1.0, hi - width)
+        while lo > 1.0 and at_or_above(lo):
+            hi, width = lo, 2.0 * width
+            lo = max(1.0, hi - width)
+    else:
+        hi = min(top, lo + width)
+        while hi < top and not at_or_above(hi):
+            lo, width = hi, 2.0 * width
+            hi = min(top, lo + width)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if at_or_above(mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
+@st.composite
+def _guesses(draw):
+    """(m, k, guess): a guess anywhere in [1, k], or a few ulps from the root, or at an end."""
+    m = draw(st.integers(1, 10**12))
+    k = draw(st.integers(2, 10**300))
+    top = float(k)
+    anywhere = st.floats(1.0, top)
+    near = st.integers(-4, 4).map(lambda steps: _ulps_from(dominant_root(m, k), steps, top))
+    return m, k, draw(st.one_of(anywhere, near, st.sampled_from([1.0, top])))
+
+
+def _ulps_from(x, steps, top):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else 0.0)
+    return min(max(1.0, x), top)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_guesses())
+def test_bracket_grows_from_any_guess_as_the_two_loops_did(case):
+    assert _root_from_guess(*case) == reference_root_from_guess(*case)
+
+
 def test_newton_guess_lands_within_a_few_ulps_on_the_design_grid():
     # 3 ulps at most here, so the bracket closes after a few sign tests
     for m in range(1, 5):

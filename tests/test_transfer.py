@@ -118,7 +118,8 @@ def test_build_state_cap(golden_spec, monkeypatch):
     monkeypatch.setattr(transfer, "MAX_STATES", 1)
     with pytest.raises(ResourceLimitError):
         build_automaton(golden_spec)
-    monkeypatch.setattr(transfer, "MAX_STATES", 2)
+    # the golden spec's 2 states pass a cap of 2, but its 3 edges do not
+    monkeypatch.setattr(transfer, "MAX_STATES", 3)
     assert build_automaton(golden_spec).num_states == 2
 
 
@@ -149,6 +150,16 @@ def test_state_cap_bounds_every_layer(monkeypatch):
         build_automaton(spec)
     monkeypatch.setattr(transfer, "MAX_STATES", 4)
     assert build_automaton(spec).num_states == 1
+
+
+def test_state_cap_bounds_the_edges(monkeypatch):
+    # 8 states fit a cap of 10, but the 64 - 1 allowed 2-blocks, one per edge, do not
+    monkeypatch.setattr(transfer, "MAX_STATES", 10)
+    with pytest.raises(ResourceLimitError) as info:
+        build_automaton(spec_from_tuples(8, [(0, 0)]))
+    assert str(info.value) == "the allowed blocks of length 2 exceed the cap of 10 states"
+    monkeypatch.setattr(transfer, "MAX_STATES", 63)
+    assert len(build_automaton(spec_from_tuples(8, [(0, 0)])).edges) == 63
 
 
 def test_out_lists(golden_spec):

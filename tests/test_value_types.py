@@ -338,6 +338,16 @@ def test_block_ordering():
         (lambda: ForbiddenSet([Block(())]), ValidationError, "forbidden blocks must be nonempty"),
         (lambda: ShiftSpaceSpec("2"), ParameterError, "alphabet_size must be an integer"),
         (lambda: ShiftSpaceSpec(0), ValidationError, "alphabet size must be at least 1, got 0"),
+        (lambda: ShiftSpaceSpec(2, [Block(())]), ParameterError, "forbidden must be a ForbiddenSet, got list"),
+        (lambda: ShiftSpaceSpec(2, None), ParameterError, "forbidden must be a ForbiddenSet, got NoneType"),
+        (lambda: ShiftSpaceSpec(2, [(1, 1)]), ParameterError, "forbidden must be a ForbiddenSet, got list"),
+        (
+            lambda: ShiftSpaceSpec(2, frozenset({Block((1,))})),
+            ParameterError,
+            "forbidden must be a ForbiddenSet, got frozenset",
+        ),
+        (lambda: ShiftSpaceSpec("2", None), ParameterError, "alphabet_size must be an integer"),
+        (lambda: ShiftSpaceSpec(0, [Block((1,))]), ParameterError, "forbidden must be a ForbiddenSet, got list"),
         (
             lambda: ShiftSpaceSpec(2, ForbiddenSet([Block((2, 0)), Block((1,)), Block((3,))])),
             ValidationError,
