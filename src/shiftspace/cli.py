@@ -217,7 +217,9 @@ def _cmd_entropy(args) -> int:
         # entropy_numeric's steps on one build, which the export reuses
         automaton = transfer.build_automaton(spec)
     if method in ("matrix", "both"):
-        reports.append(transfer._automaton_entropy(automaton, args.tol, args.base))
+        reports.append(
+            transfer._graph_entropy(automaton.num_states, automaton.edges, args.tol, args.base)
+        )
     if args.export_automaton:
         Path(args.export_automaton).write_text(transfer.edge_list_text(automaton))
     return _write(

@@ -394,11 +394,17 @@ def load_spec_file(path: str | Path) -> ShiftSpaceSpec:
 
     Format: a line ``k=<int>``, then one forbidden block per line in the
     syntax of parse_block.  ``#`` starts a comment, blank lines are skipped.
+    The file is decoded as UTF-8 whatever the locale; ParseError names the
+    offset of the first byte that does not decode.
     """
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})") from None
     alphabet_size: int | None = None
     raw: list[Block] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         content = line.split("#", 1)[0].strip()
         if not content:
             continue

@@ -24,12 +24,15 @@ DEFAULT_TOL = 1e-9
 
 
 def _log(value: float, log_base: str) -> float:
-    try:
-        return _LOG_FUNCTIONS[log_base](value)
-    except KeyError:
+    _require_log_base(log_base)
+    return _LOG_FUNCTIONS[log_base](value)
+
+
+def _require_log_base(log_base) -> None:
+    if not isinstance(log_base, str) or log_base not in _LOG_FUNCTIONS:
         raise ParameterError(
             f"log_base must be one of {sorted(_LOG_FUNCTIONS)}, got {log_base!r}"
-        ) from None
+        )
 
 
 def _require_tol(tol) -> None:
@@ -153,6 +156,7 @@ def entropy_tmk(m: int, k: int, log_base: str = "e") -> EntropyReport:
     exactly one ulp, for 47,413 values of k, and for k < 20,000 the closed
     form is the closer in 4,772 of the 4,807 that differ.
     """
+    _require_log_base(log_base)
     root = dominant_root(m, k)
     try:
         residual = abs(root ** (m + 1) - root**m - (k - 1))

@@ -28,12 +28,15 @@ operation counts say is cheaper.  Entropy comes from power iteration with a
 Collatz-Wielandt enclosure over the classes' out-lists, one entry per edge,
 so a step costs the merged edges, not states^2; each row sum is rounded
 once by math.fsum, so the merged iteration gives the full automaton's bits.
+entropy_numeric runs on the build's integer codes and edge triples alone:
+the liveness trim computes gives the live states' out-lists directly, so it
+builds no Block and no automaton record on its way to the eigenvalue.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain, islice, product, repeat
 from math import fsum
 from operator import add, and_, mul, truediv
@@ -45,7 +48,7 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
 )
-from .spectral import DEFAULT_TOL, EntropyReport, _log, _require_tol
+from .spectral import DEFAULT_TOL, EntropyReport, _log, _require_log_base, _require_tol
 
 MAX_STATES = 2**20
 MAX_ITERATIONS = 10**6
@@ -109,6 +112,23 @@ def build_automaton(spec: ShiftSpaceSpec) -> TransferAutomaton:
     length up to the window, or the edges, one per allowed block of length
     window + 1, pass MAX_STATES.
     """
+    window, codes, edges = _block_graph(spec)
+    return TransferAutomaton(
+        spec=spec,
+        window=window,
+        states=tuple(map(Block._of, _digits(codes, spec.alphabet_size, window))),
+        edges=tuple(edges),
+        trimmed=False,
+    )
+
+
+def _block_graph(spec: ShiftSpaceSpec) -> tuple[int, list[int], list[tuple[int, int, int]]]:
+    """The window, the codes of the allowed window blocks in order, and the edges.
+
+    The edges are build_automaton's (source index, target index, symbol)
+    triples, with the same refusals; no Block is built, so entropy_numeric
+    reads the graph off the codes alone.
+    """
     k = spec.alphabet_size
     window = max(2, spec.forbidden.max_length) - 1
     banned = _banned_codes(spec)
@@ -123,14 +143,7 @@ def build_automaton(spec: ShiftSpaceSpec) -> TransferAutomaton:
         for s, shift in enumerate(shifts)
         if (target := index.get((g := code + shift) // k)) is not None and g not in banned_edges
     )
-    edges = _capped(grown, window + 1)
-    return TransferAutomaton(
-        spec=spec,
-        window=window,
-        states=tuple(map(Block._of, _digits(codes, k, window))),
-        edges=tuple(edges),
-        trimmed=False,
-    )
+    return window, codes, _capped(grown, window + 1)
 
 
 def _banned_codes(spec: ShiftSpaceSpec) -> dict[int, set[int]]:
@@ -216,11 +229,7 @@ def trim(automaton: TransferAutomaton) -> TransferAutomaton:
     the two one-sided peels is the joint peel of states without outgoing
     or incoming edges.
     """
-    successors = automaton.out_lists()
-    predecessors: list[list[int]] = [[] for _ in automaton.states]
-    for source, target, _symbol in automaton.edges:
-        predecessors[target].append(source)
-    alive = list(map(and_, _lasting(successors, predecessors), _lasting(predecessors, successors)))
+    _successors, alive = _liveness(automaton.num_states, automaton.edges)
     # an automaton that loses no state keeps its tuples, which saves the
     # remap on the small, mostly live automata that entropy runs on
     states, edges = automaton.states, automaton.edges
@@ -240,6 +249,23 @@ def trim(automaton: TransferAutomaton) -> TransferAutomaton:
         edges=edges,
         trimmed=True,
     )
+
+
+def _liveness(
+    num_states: int, edges: Iterable[tuple[int, int, int]]
+) -> tuple[list[list[int]], list[bool]]:
+    """Each state's targets in edge order, and whether it starts and ends an infinite path.
+
+    The liveness is the intersection of the forward and the backward peel
+    of _lasting, the states trim keeps.
+    """
+    successors: list[list[int]] = [[] for _ in range(num_states)]
+    predecessors: list[list[int]] = [[] for _ in range(num_states)]
+    for source, target, _symbol in edges:
+        successors[source].append(target)
+        predecessors[target].append(source)
+    alive = map(and_, _lasting(successors, predecessors), _lasting(predecessors, successors))
+    return successors, list(alive)
 
 
 def _lasting(ahead: list[list[int]], behind: list[list[int]]) -> list[bool]:
@@ -427,17 +453,28 @@ def entropy_numeric(
 ) -> EntropyReport:
     """Entropy of any finite-type spec from its trimmed automaton."""
     _require_tol(tol)
-    return _automaton_entropy(build_automaton(spec), tol, log_base)
+    _require_log_base(log_base)
+    _window, codes, edges = _block_graph(spec)
+    return _graph_entropy(len(codes), edges, tol, log_base)
 
 
-def _automaton_entropy(automaton: TransferAutomaton, tol: float, log_base: str) -> EntropyReport:
-    """entropy_numeric from an automaton already built; tol must be checked first."""
-    automaton = trim(automaton)
-    if automaton.num_states == 0:
+def _graph_entropy(
+    num_states: int, edges: Iterable[tuple[int, int, int]], tol: float, log_base: str
+) -> EntropyReport:
+    """entropy_numeric on the edges of an untrimmed block graph; check tol and log_base first.
+
+    The power iteration reads the out-lists of the live states, numbered in
+    order, which are trim(...).out_lists(), built without either record.
+    """
+    out, alive = _liveness(num_states, edges)
+    if not all(alive):
+        remap = {old: new for new, old in enumerate(u for u, living in enumerate(alive) if living)}
+        out = [[remap[v] for v in out[u] if v in remap] for u in remap]
+    if not out:
         raise EmptyShiftSpaceError(
             "every state dies under trimming; the shift space is empty and entropy is undefined"
         )
-    value, residual, _iterations = _power_iteration(automaton.out_lists(), tol)
+    value, residual, _iterations = _power_iteration(out, tol)
     return EntropyReport(
         lambda0=value,
         entropy=_log(value, log_base),

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -92,6 +93,34 @@ def test_count_from_spec_file(capsys, golden_file):
     code, out, _ = run_cli(capsys, "count", "--spec", golden_file, "--n", "4")
     assert code == 0
     assert out == "8\n"
+
+
+def test_spec_file_that_is_not_utf8_exits_1_with_its_offset(tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"k=2\n1\xff1\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "shiftspace", "count", "--spec", str(path), "--n", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert f"{path}: byte 5 is not valid UTF-8" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_spec_file_is_utf8_in_the_posix_locale(tmp_path):
+    # the block is 11 in Arabic-Indic digits, which the POSIX locale's
+    # ASCII codec cannot decode
+    path = tmp_path / "arabic-indic.txt"
+    path.write_text("k=2\n\u0661\u0661\n", encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    result = subprocess.run(
+        [sys.executable, "-m", "shiftspace", "count", "--spec", str(path), "--n", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "5\n", "")
 
 
 def test_enumerate_text(capsys):

@@ -1,7 +1,10 @@
 import copy
 import inspect
+import os
 import pickle
 import re
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -431,6 +434,25 @@ _SPACES = st.text(st.sampled_from([" ", "\t", "\u00a0", "\u2003"]), max_size=3)
 def test_spec_header_accepts_what_the_header_pattern_accepts(line):
     match = re.fullmatch(r"k\s*=\s*(\d+)", line)
     assert core._spec_header(line) == (None if match is None else int(match.group(1)))
+
+
+def test_load_spec_file_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"k=2\n1\xff1\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: byte 5 is not valid UTF-8"):
+        load_spec_file(path)
+
+
+def test_load_spec_file_decodes_utf8_in_the_posix_locale(tmp_path):
+    # without UTF-8 mode or locale coercion, the POSIX locale's codec is ASCII
+    path = tmp_path / "arabic-indic.txt"
+    path.write_text("k=2\n\u0661\u0661\n", encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    probe = "import sys, shiftspace; print(sorted(shiftspace.load_spec_file(sys.argv[1]).forbidden))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(path)], capture_output=True, text=True, env=env
+    )
+    assert (result.returncode, result.stdout) == (0, "[Block(symbols=(1, 1))]\n")
 
 
 def test_load_spec_file_reads_a_header_in_unicode_spaces_and_digits(tmp_path):

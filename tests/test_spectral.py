@@ -1,6 +1,8 @@
 """Tests for characteristic polynomial roots and entropy values."""
 
 import math
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -383,6 +385,18 @@ def test_entropy_method_label():
 def test_entropy_bad_base():
     with pytest.raises(ParameterError):
         entropy_tmk(1, 2, log_base="7")
+
+
+@pytest.mark.parametrize("base", ["x", ["e"]])
+@pytest.mark.parametrize("m", [1, 10**6, 10**19, 10**400])
+def test_entropy_refuses_a_bad_base_before_the_root(m, base):
+    # at 10^19 and 10^400 the root itself refuses m, so only a base read
+    # first names the base; an unhashable base ended in a TypeError
+    message = rf"^log_base must be one of \['10', '2', 'e'\], got {re.escape(repr(base))}$"
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match=message):
+        entropy_tmk(m, 2, log_base=base)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_entropy_as_dict():

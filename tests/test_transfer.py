@@ -1,6 +1,8 @@
 """Tests for the block automaton: construction, counting, eigenvalues."""
 
 import math
+import re
+import time
 from collections import Counter
 from itertools import islice
 from unittest.mock import patch
@@ -14,6 +16,7 @@ from shiftspace import (
     Block,
     ConvergenceError,
     EmptyShiftSpaceError,
+    EntropyReport,
     ParameterError,
     ResourceLimitError,
     ShiftSpaceSpec,
@@ -30,6 +33,7 @@ from shiftspace import (
 )
 from shiftspace import enumeration, transfer
 from shiftspace.enumeration import _suffix_clear, _suffix_table, enumerate_blocks
+from shiftspace.spectral import DEFAULT_TOL, _log
 from shiftspace.transfer import TransferAutomaton, _lumped, _path_counts
 
 from conftest import spec_from_tuples
@@ -630,6 +634,85 @@ def test_entropy_numeric_empty_space():
 def test_entropy_numeric_bad_base(golden_spec):
     with pytest.raises(ParameterError):
         entropy_numeric(golden_spec, log_base="7")
+
+
+# k = 3 with 01, 02, 10 and 20 forbidden: 0 loops alone beside the full
+# shift on {1, 2}, so the enclosure of A + I stays [2, 3] and never closes
+REDUCIBLE_K3 = spec_from_tuples(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
+EMPTY_SPEC = spec_from_tuples(2, [(0,), (1, 1)])
+# k = 3 with 20, 21 and 22 forbidden: state 2 has no successor, so the
+# trimmed states are renumbered
+DEAD_END_SPEC = spec_from_tuples(3, [(2, 0), (2, 1), (2, 2)])
+
+
+@pytest.mark.parametrize("base", ["x", ["e"]])
+@pytest.mark.parametrize("spec", [REDUCIBLE_K3, EMPTY_SPEC, UNDERFLOW_SPEC])
+def test_entropy_numeric_refuses_a_bad_base_before_any_work(spec, base):
+    # with the base read last, the reducible spec ran MAX_ITERATIONS steps and
+    # the other two ended in EmptyShiftSpaceError and ConvergenceError; an
+    # unhashable base ended in a TypeError
+    message = rf"^log_base must be one of \['10', '2', 'e'\], got {re.escape(repr(base))}$"
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match=message):
+        entropy_numeric(spec, log_base=base)
+    assert time.perf_counter() - start < 0.1
+
+
+def reference_entropy_numeric(spec, tol=DEFAULT_TOL, log_base="e"):
+    """The route entropy_numeric used to run: both automaton records, then trim's out-lists."""
+    automaton = trim(build_automaton(spec))
+    if automaton.num_states == 0:
+        raise EmptyShiftSpaceError(
+            "every state dies under trimming; the shift space is empty and entropy is undefined"
+        )
+    value, residual, _iterations = transfer._power_iteration(automaton.out_lists(), tol)
+    return EntropyReport(
+        lambda0=value,
+        entropy=_log(value, log_base),
+        log_base=log_base,
+        method="transfer-matrix",
+        residual=residual,
+    )
+
+
+def entropy_outcome(solve, *args):
+    """The report a route returns, or the type, message and fields of its error."""
+    try:
+        return solve(*args)
+    except ConvergenceError as err:
+        return type(err), str(err), err.last_estimate, err.residual, err.iterations
+    except EmptyShiftSpaceError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_specs(), st.sampled_from([1e-6, 1e-9, 1e-12]), st.sampled_from([50, 3000]))
+@example(UNDERFLOW_SPEC, 1e-9, 3000)
+@example(REDUCIBLE_K3, 1e-9, 50)
+@example(EMPTY_SPEC, 1e-9, 3000)
+@example(DEAD_END_SPEC, 1e-12, 3000)
+@example(spec_from_tuples(1, []), 1e-9, 3000)
+@example(spec_from_tuples(1, [(0, 0)]), 1e-9, 3000)
+@example(tmk_spec(TmkParams(3, 4)), 1e-12, 3000)
+def test_entropy_numeric_equals_the_route_through_both_records(spec, tol, max_iterations):
+    with patch.object(transfer, "MAX_ITERATIONS", max_iterations):
+        new = entropy_outcome(entropy_numeric, spec, tol)
+        assert new == entropy_outcome(reference_entropy_numeric, spec, tol)
+        if isinstance(new, EntropyReport):
+            # the chain the traced benchmark asserts bit for bit
+            matrix = trim(build_automaton(spec)).adjacency_matrix()
+            assert new.lambda0 == dominant_eigenvalue(matrix, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "spec", [DEAD_END_SPEC, tmk_spec(TmkParams(2, 3)), spec_from_tuples(2, [(1,) * 6])]
+)
+def test_entropy_numeric_builds_no_block_and_no_automaton(no_block, monkeypatch, spec):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("TransferAutomaton built")
+
+    monkeypatch.setattr(TransferAutomaton, "__init__", refuse)
+    assert entropy_numeric(spec).lambda0 > 1.0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
