@@ -5,9 +5,11 @@ least the longest forbidden block; an edge labeled s joins u to v when u
 extended by s is allowed and v is that extension with the first symbol
 dropped.  The build grows the allowed blocks one symbol at a time as base-k
 integer codes: a block is allowed exactly when its prefix and its suffix one
-shorter are and it is not itself forbidden, each layer and the edges within
-the state cap MAX_STATES.  It imports nothing from enumeration, so the three
-methods stay independent checks.
+shorter are and it is not itself forbidden.  The edges are the allowed
+blocks of length L, the layer after the states, grown by the same step, so
+every layer, the edges included, obeys one rule and one cap, MAX_STATES.
+It imports nothing from enumeration, so the three methods stay independent
+checks.
 
 One stream counts the allowed blocks of every length: below the window it
 yields the sizes of those layers, and allowed blocks of length n >= L-1
@@ -28,16 +30,17 @@ operation counts say is cheaper.  Entropy comes from power iteration with a
 Collatz-Wielandt enclosure over the classes' out-lists, one entry per edge,
 so a step costs the merged edges, not states^2; each row sum is rounded
 once by math.fsum, so the merged iteration gives the full automaton's bits.
-entropy_numeric runs on the build's integer codes and edge triples alone:
-the liveness trim computes gives the live states' out-lists directly, so it
-builds no Block and no automaton record on its way to the eigenvalue.
+trim and entropy share one live pass, which gives the live states and their
+out-lists; entropy_numeric runs it on the build's integer codes and edge
+triples alone, so it builds no Block and no automaton record on its way to
+the eigenvalue.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from math import fsum
 from operator import add, and_, mul, truediv
 
@@ -109,8 +112,7 @@ def build_automaton(spec: ShiftSpaceSpec) -> TransferAutomaton:
     """Block automaton over windows of length max(2, longest forbidden) - 1.
 
     Raises ResourceLimitError as soon as a layer of allowed blocks, of a
-    length up to the window, or the edges, one per allowed block of length
-    window + 1, pass MAX_STATES.
+    length up to window + 1, whose blocks are the edges, passes MAX_STATES.
     """
     window, codes, edges = _block_graph(spec)
     return TransferAutomaton(
@@ -125,25 +127,20 @@ def build_automaton(spec: ShiftSpaceSpec) -> TransferAutomaton:
 def _block_graph(spec: ShiftSpaceSpec) -> tuple[int, list[int], list[tuple[int, int, int]]]:
     """The window, the codes of the allowed window blocks in order, and the edges.
 
-    The edges are build_automaton's (source index, target index, symbol)
-    triples, with the same refusals; no Block is built, so entropy_numeric
-    reads the graph off the codes alone.
+    The edges are the allowed blocks of length window + 1, the layer after
+    the states: code g runs from state g mod k^window to state g // k with
+    symbol g // k^window.  They are build_automaton's (source index, target
+    index, symbol) triples, with the same refusals; no Block is built, so
+    entropy_numeric reads the graph off the codes alone.
     """
     k = spec.alphabet_size
     window = max(2, spec.forbidden.max_length) - 1
-    banned = _banned_codes(spec)
-    # only the last layer is kept, so the shorter ones are freed as it grows
-    codes = deque(_layers(k, banned, window), maxlen=1).pop()
+    layers = _layers(k, _banned_codes(spec), window + 1)
+    # one layer at a time: the window's, then the edges grown from it
+    codes = deque(islice(layers, window + 1), maxlen=1).pop()
     index = {code: i for i, code in enumerate(codes)}
-    shifts = [s * k**window for s in range(k)]
-    banned_edges = banned.get(window + 1, set())
-    grown = (
-        (i, target, s)
-        for i, code in enumerate(codes)
-        for s, shift in enumerate(shifts)
-        if (target := index.get((g := code + shift) // k)) is not None and g not in banned_edges
-    )
-    return window, codes, _capped(grown, window + 1)
+    low = k**window
+    return window, codes, [(index[g % low], index[g // k], g // low) for g in next(layers)]
 
 
 def _banned_codes(spec: ShiftSpaceSpec) -> dict[int, set[int]]:
@@ -180,18 +177,12 @@ def _layers(k: int, banned: dict[int, set[int]], length: int) -> Iterator[list[i
             for shift in shifts
             if (g := code + shift) // k in shorter and g not in forbidden
         )
-        codes = _capped(grown, j)
+        codes = list(islice(grown, MAX_STATES + 1))
+        if len(codes) > MAX_STATES:
+            raise ResourceLimitError(
+                f"the allowed blocks of length {j} exceed the cap of {MAX_STATES} states"
+            )
         yield codes
-
-
-def _capped(blocks: Iterator, length: int) -> list:
-    """The allowed blocks of a length as a list; ResourceLimitError at MAX_STATES + 1."""
-    kept = list(islice(blocks, MAX_STATES + 1))
-    if len(kept) > MAX_STATES:
-        raise ResourceLimitError(
-            f"the allowed blocks of length {length} exceed the cap of {MAX_STATES} states"
-        )
-    return kept
 
 
 def _digits(codes: list[int], k: int, width: int) -> list[tuple[int, ...]]:
@@ -224,23 +215,19 @@ def trim(automaton: TransferAutomaton) -> TransferAutomaton:
 
     This is the essential graph (Lind and Marcus 1995, section 2.2), which
     carries exactly the bi-infinite sequences, so it is the carrier for
-    entropy; finite-block counts must use the untrimmed automaton.  When u
-    has both paths, so does every state on them, so the intersection of
-    the two one-sided peels is the joint peel of states without outgoing
-    or incoming edges.
+    entropy; finite-block counts must use the untrimmed automaton.  The
+    kept states are those of _live, renumbered in order.
     """
-    _successors, alive = _liveness(automaton.num_states, automaton.edges)
+    live, _out = _live(automaton.num_states, automaton.edges)
     # an automaton that loses no state keeps its tuples, which saves the
     # remap on the small, mostly live automata that entropy runs on
     states, edges = automaton.states, automaton.edges
-    if not all(alive):
-        keep = [u for u, living in enumerate(alive) if living]
-        remap = {old: new for new, old in enumerate(keep)}
-        states = tuple(states[old] for old in keep)
+    if len(live) < len(states):
+        states = tuple(map(states.__getitem__, live))
         edges = tuple(
-            (remap[source], remap[target], symbol)
+            (live[source], live[target], symbol)
             for source, target, symbol in edges
-            if alive[source] and alive[target]
+            if source in live and target in live
         )
     return TransferAutomaton(
         spec=automaton.spec,
@@ -251,21 +238,26 @@ def trim(automaton: TransferAutomaton) -> TransferAutomaton:
     )
 
 
-def _liveness(
+def _live(
     num_states: int, edges: Iterable[tuple[int, int, int]]
-) -> tuple[list[list[int]], list[bool]]:
-    """Each state's targets in edge order, and whether it starts and ends an infinite path.
+) -> tuple[dict[int, int] | range, list[list[int]]]:
+    """The live states in order, each with its new number, and their out-lists in those numbers.
 
-    The liveness is the intersection of the forward and the backward peel
-    of _lasting, the states trim keeps.
+    A state is live when it starts an infinite path and ends one.  When u
+    has both paths, so does every state on them, so the live states are
+    the intersection of the forward and the backward peel of _lasting.  The
+    out-lists keep edge order and are those of trim(...).out_lists().
     """
     successors: list[list[int]] = [[] for _ in range(num_states)]
     predecessors: list[list[int]] = [[] for _ in range(num_states)]
     for source, target, _symbol in edges:
         successors[source].append(target)
         predecessors[target].append(source)
-    alive = map(and_, _lasting(successors, predecessors), _lasting(predecessors, successors))
-    return successors, list(alive)
+    alive = list(map(and_, _lasting(successors, predecessors), _lasting(predecessors, successors)))
+    if all(alive):
+        return range(num_states), successors  # maps each state to itself, like the dict below
+    live = {old: new for new, old in enumerate(compress(range(num_states), alive))}
+    return live, [[live[v] for v in successors[u] if v in live] for u in live]
 
 
 def _lasting(ahead: list[list[int]], behind: list[list[int]]) -> list[bool]:
@@ -466,10 +458,7 @@ def _graph_entropy(
     The power iteration reads the out-lists of the live states, numbered in
     order, which are trim(...).out_lists(), built without either record.
     """
-    out, alive = _liveness(num_states, edges)
-    if not all(alive):
-        remap = {old: new for new, old in enumerate(u for u, living in enumerate(alive) if living)}
-        out = [[remap[v] for v in out[u] if v in remap] for u in remap]
+    _live_states, out = _live(num_states, edges)
     if not out:
         raise EmptyShiftSpaceError(
             "every state dies under trimming; the shift space is empty and entropy is undefined"

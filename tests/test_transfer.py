@@ -34,7 +34,7 @@ from shiftspace import (
 from shiftspace import enumeration, transfer
 from shiftspace.enumeration import _suffix_clear, _suffix_table, enumerate_blocks
 from shiftspace.spectral import DEFAULT_TOL, _log
-from shiftspace.transfer import TransferAutomaton, _lumped, _path_counts
+from shiftspace.transfer import TransferAutomaton, _live, _lumped, _path_counts
 
 from conftest import spec_from_tuples
 
@@ -251,7 +251,10 @@ def untrimmed_automata(draw):
 # a lone self-loop among dead states, fed by one and feeding another
 @example(synthetic_automaton(5, [(0, 2, 0), (2, 2, 0), (2, 3, 0), (4, 0, 1), (3, 1, 1)]))
 def test_trim_equals_fixed_point_loop(automaton):
-    assert trim(automaton) == reference_trim(automaton)
+    trimmed = trim(automaton)
+    assert trimmed == reference_trim(automaton)
+    # the live pass entropy reads gives the trimmed automaton's out-lists
+    assert _live(automaton.num_states, automaton.edges)[1] == trimmed.out_lists()
 
 
 def test_trim_keeps_periodic_cycle():

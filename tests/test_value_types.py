@@ -27,6 +27,8 @@ from shiftspace import (
     TmkParams,
     TransferAutomaton,
     ValidationError,
+    design_for_entropy,
+    k_for_target_ratio,
 )
 
 EMPTY = inspect.Parameter.empty
@@ -371,6 +373,23 @@ def test_block_ordering():
         (lambda: LinearRecurrence((1,), (1,), -1), ParameterError, "offset must be an integer >= 0, got -1"),
         (lambda: CountSequence((1, 2.0)), ParameterError, "counts must be integers, got 2.0"),
         (lambda: CountSequence((1, 2), n_min="x"), ParameterError, "n_min must be an integer >= 0, got 'x'"),
+        (
+            lambda: k_for_target_ratio(10**400, 1),
+            ParameterError,
+            "lambda_target lies beyond float range (lambda_target >= 2^1328), "
+            "so its growth rate cannot be computed in floats",
+        ),
+        (
+            lambda: design_for_entropy(10**400),
+            ParameterError,
+            "target_entropy lies beyond float range (target_entropy >= 2^1328), "
+            "so its growth rate cannot be computed in floats",
+        ),
+        (
+            lambda: design_for_entropy(0.5, tol=10**400),
+            ParameterError,
+            "tol lies beyond float range (tol >= 2^1328), so its growth rate cannot be computed in floats",
+        ),
     ],
 )
 def test_validation_messages(build, error, message):
