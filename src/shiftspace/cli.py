@@ -208,20 +208,18 @@ def _cmd_entropy(args) -> int:
     spec = _resolve_spec(args) if method in ("matrix", "both") or args.export_automaton else None
     # only the matrix method reads tol, but every method refuses a bad one
     spectral._require_tol(args.tol)
-    reports = []
-    if method in ("poly", "both"):
-        reports.append(spectral.entropy_tmk(args.tmk.m, args.tmk.k, log_base=args.base))
     if spec is not None:
         from . import transfer
 
-        # entropy_numeric's steps on one build, which the export reuses
-        automaton = transfer.build_automaton(spec)
+        # entropy_numeric's steps on one block graph, exported first: an empty shift has edges too
+        _sizes, codes, edges = transfer._block_graph(spec)
+        if args.export_automaton:
+            Path(args.export_automaton).write_text(transfer._edge_text(edges))
+    reports = []
+    if method in ("poly", "both"):
+        reports.append(spectral.entropy_tmk(args.tmk.m, args.tmk.k, log_base=args.base))
     if method in ("matrix", "both"):
-        reports.append(
-            transfer._graph_entropy(automaton.num_states, automaton.edges, args.tol, args.base)
-        )
-    if args.export_automaton:
-        Path(args.export_automaton).write_text(transfer.edge_list_text(automaton))
+        reports.append(transfer._graph_entropy(len(codes), edges, args.tol, args.base))
     return _write(
         args,
         [" ".join(f"{key}={_cell(value)}" for key, value in r.as_dict().items()) for r in reports],
@@ -248,12 +246,13 @@ def _cmd_verify(args) -> int:
 
     spec = _resolve_spec(args)
     counts = enumeration.count_sequence(spec, args.n_max)
-    automaton = transfer.build_automaton(spec)
+    sizes, codes, edges = transfer._block_graph(spec)
     if args.export_automaton:
-        Path(args.export_automaton).write_text(transfer.edge_list_text(automaton))
+        Path(args.export_automaton).write_text(transfer._edge_text(edges))
     rec, rec_source = _verify_recurrence_for(args, counts)
     # one walk per column; the matrix column is the count stream from n = 1
-    matrix_column = islice(transfer._path_counts(automaton), 1, None)
+    out = transfer._out_lists(len(codes), edges)
+    matrix_column = islice(transfer._path_counts(sizes, out), 1, None)
     rec_column = repeat(None)
     if rec is not None:
         rec_column = chain(repeat(None, rec.offset - 1), recurrence._term_iter(rec))

@@ -394,12 +394,13 @@ def load_spec_file(path: str | Path) -> ShiftSpaceSpec:
 
     Format: a line ``k=<int>``, then one forbidden block per line in the
     syntax of parse_block.  ``#`` starts a comment, blank lines are skipped.
-    The file is decoded as UTF-8 whatever the locale; ParseError names the
-    offset of the first byte that does not decode.
+    The file is decoded as UTF-8 whatever the locale, and one leading byte
+    order mark is dropped; ParseError names the offset of the first byte
+    that does not decode, counted from the start of the file.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})") from None
     alphabet_size: int | None = None

@@ -135,7 +135,7 @@ def k_for_target_ratio(lambda_target: float, m: int) -> int | None:
     _require_int("m", m, 1)
     if not isinstance(lambda_target, (int, float)) or isinstance(lambda_target, bool):
         raise ParameterError(f"lambda_target must be a number, got {lambda_target!r}")
-    lambda_target = _float("lambda_target", lambda_target)
+    lambda_target = _float("lambda_target", lambda_target, "k")
     if not math.isfinite(lambda_target) or lambda_target <= 1.0:
         raise ParameterError(f"lambda_target must be a finite number > 1, got {lambda_target}")
     try:
@@ -182,11 +182,11 @@ def design_for_entropy(
     """
     if not isinstance(target_entropy, (int, float)) or isinstance(target_entropy, bool):
         raise ParameterError(f"target_entropy must be a number, got {target_entropy!r}")
-    target_entropy = _float("target_entropy", target_entropy)
+    target_entropy = _float("target_entropy", target_entropy, "the design")
     if not math.isfinite(target_entropy) or target_entropy <= 0.0:
         raise ParameterError(f"target_entropy must be finite and > 0, got {target_entropy}")
     _require_tol(tol)
-    tol = _float("tol", tol)
+    tol = _float("tol", tol, "the design")
     m_lo, m_hi = _require_range("m_range", m_range, 1)
     k_lo, k_hi = _require_range("k_range", k_range, 2)
     scale = _log(math.e, log_base)  # log_b(e) = 1 / ln b; refuses an unknown base

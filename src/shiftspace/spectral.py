@@ -40,14 +40,14 @@ def _require_tol(tol) -> None:
         raise ParameterError(f"tol must be a positive number, got {tol!r}")
 
 
-def _float(name: str, value: int) -> float:
-    """A parameter as a float; ParameterError when it lies beyond float range."""
+def _float(name: str, value: int, result: str = "its growth rate") -> float:
+    """A parameter as a float; ParameterError, naming the result it is for, beyond float range."""
     try:
         return float(value)
     except OverflowError:
         raise ParameterError(
             f"{name} lies beyond float range ({name} >= 2^{value.bit_length() - 1}), "
-            "so its growth rate cannot be computed in floats"
+            f"so {result} cannot be computed in floats"
         ) from None
 
 

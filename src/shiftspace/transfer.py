@@ -31,14 +31,13 @@ Collatz-Wielandt enclosure over the classes' out-lists, one entry per edge,
 so a step costs the merged edges, not states^2; each row sum is rounded
 once by math.fsum, so the merged iteration gives the full automaton's bits.
 trim and entropy share one live pass, which gives the live states and their
-out-lists; entropy_numeric runs it on the build's integer codes and edge
-triples alone, so it builds no Block and no automaton record on its way to
-the eigenvalue.
+out-lists.  entropy_numeric and the CLI's entropy and verify read the block
+graph alone, the layer sizes, integer codes and edge triples of one build,
+so they build no Block and no automaton record.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Iterator
 from itertools import chain, compress, islice, product, repeat
 from math import fsum
@@ -95,10 +94,7 @@ class TransferAutomaton(_Value):
 
     def out_lists(self) -> list[list[int]]:
         """Target state indices per source state."""
-        out: list[list[int]] = [[] for _ in self.states]
-        for source, target, _symbol in self.edges:
-            out[source].append(target)
-        return out
+        return _out_lists(self.num_states, self.edges)
 
     def adjacency_matrix(self) -> AdjacencyMatrix:
         n = self.num_states
@@ -114,33 +110,33 @@ def build_automaton(spec: ShiftSpaceSpec) -> TransferAutomaton:
     Raises ResourceLimitError as soon as a layer of allowed blocks, of a
     length up to window + 1, whose blocks are the edges, passes MAX_STATES.
     """
-    window, codes, edges = _block_graph(spec)
+    sizes, codes, edges = _block_graph(spec)
     return TransferAutomaton(
         spec=spec,
-        window=window,
-        states=tuple(map(Block._of, _digits(codes, spec.alphabet_size, window))),
+        window=len(sizes),
+        states=tuple(map(Block._of, _digits(codes, spec.alphabet_size, len(sizes)))),
         edges=tuple(edges),
         trimmed=False,
     )
 
 
-def _block_graph(spec: ShiftSpaceSpec) -> tuple[int, list[int], list[tuple[int, int, int]]]:
-    """The window, the codes of the allowed window blocks in order, and the edges.
+def _block_graph(spec: ShiftSpaceSpec) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+    """The sizes of the layers below the window, the codes of the window blocks, and the edges.
 
-    The edges are the allowed blocks of length window + 1, the layer after
-    the states: code g runs from state g mod k^window to state g // k with
-    symbol g // k^window.  They are build_automaton's (source index, target
-    index, symbol) triples, with the same refusals; no Block is built, so
-    entropy_numeric reads the graph off the codes alone.
+    The window is the number of sizes.  The edges are the allowed blocks of
+    length window + 1: code g runs from state g mod k^window to state g // k
+    with symbol g // k^window, as build_automaton's (source index, target
+    index, symbol) triples, with the same refusals; no Block is built.
     """
     k = spec.alphabet_size
     window = max(2, spec.forbidden.max_length) - 1
     layers = _layers(k, _banned_codes(spec), window + 1)
-    # one layer at a time: the window's, then the edges grown from it
-    codes = deque(islice(layers, window + 1), maxlen=1).pop()
+    # one layer alive at a time: those below the window, its own, then the edges
+    sizes = list(map(len, islice(layers, window)))
+    codes = next(layers)
     index = {code: i for i, code in enumerate(codes)}
     low = k**window
-    return window, codes, [(index[g % low], index[g // k], g // low) for g in next(layers)]
+    return sizes, codes, [(index[g % low], index[g // k], g // low) for g in next(layers)]
 
 
 def _banned_codes(spec: ShiftSpaceSpec) -> dict[int, set[int]]:
@@ -219,21 +215,15 @@ def trim(automaton: TransferAutomaton) -> TransferAutomaton:
     kept states are those of _live, renumbered in order.
     """
     live, _out = _live(automaton.num_states, automaton.edges)
-    # an automaton that loses no state keeps its tuples, which saves the
-    # remap on the small, mostly live automata that entropy runs on
-    states, edges = automaton.states, automaton.edges
-    if len(live) < len(states):
-        states = tuple(map(states.__getitem__, live))
-        edges = tuple(
-            (live[source], live[target], symbol)
-            for source, target, symbol in edges
-            if source in live and target in live
-        )
     return TransferAutomaton(
         spec=automaton.spec,
         window=automaton.window,
-        states=states,
-        edges=edges,
+        states=tuple(map(automaton.states.__getitem__, live)),
+        edges=tuple(
+            (live[source], live[target], symbol)
+            for source, target, symbol in automaton.edges
+            if source in live and target in live
+        ),
         trimmed=True,
     )
 
@@ -279,8 +269,8 @@ def _lasting(ahead: list[list[int]], behind: list[list[int]]) -> list[bool]:
 def count_via_matrix(automaton: TransferAutomaton, n: int) -> int:
     """Exact count of allowed blocks of length n via path counting.
 
-    Below the window the count is term n of _path_counts, the length of the
-    build's own layer; from the window on the paths are counted on the
+    Below the window the count is the size of the layer of length n, grown
+    as the build grows it; from the window on the paths are counted on the
     classes of _quotient from the all-ones weights, walking them or powering
     their edge-count matrix, whichever _squares finds cheaper.  The count
     is exact, since the path counts from a state depend only on its class.
@@ -291,8 +281,9 @@ def count_via_matrix(automaton: TransferAutomaton, n: int) -> int:
     if automaton.trimmed:
         raise ParameterError("block counting needs the untrimmed automaton")
     if n < automaton.window:
-        return next(islice(_path_counts(automaton), n, None))
-    sizes, rows = _quotient(automaton)
+        spec = automaton.spec
+        return next(islice(map(len, _layers(spec.alphabet_size, _banned_codes(spec), n)), n, None))
+    sizes, rows = _quotient(automaton.out_lists())
     steps = n - automaton.window
     if _squares(rows, steps):
         return _squared_count(sizes, rows, steps)
@@ -337,24 +328,31 @@ def _walk(sizes: list[int], rows: list[tuple[int, ...]]) -> Iterator[int]:
         weights = [sum(map(weight, row)) for row in rows]
 
 
-def _path_counts(automaton: TransferAutomaton) -> Iterator[int]:
+def _path_counts(sizes: list[int], out: list[list[int]]) -> Iterator[int]:
     """Yields the number of allowed blocks of length 0, 1, 2, ..., the one count stream.
 
-    The lengths below the window are the sizes of the build's layers, grown
-    once more from _banned_codes built once.  From the window on, w_j[u],
-    the number of paths of length j from state u, counts the allowed blocks
-    of length window + j that start with u; on the classes of _quotient,
+    Below the window it yields _block_graph's layer sizes, from the one
+    build; out is its edges' _out_lists.  From the window on, w_j[u], the
+    number of paths of length j from state u, counts the allowed blocks of
+    length window + j that start with u; on the classes of _quotient,
     computed only once the stream gets there, it is constant, and _walk
     steps it.  So each count is the sum over classes of size times weight.
     """
-    spec = automaton.spec
-    yield from map(len, _layers(spec.alphabet_size, _banned_codes(spec), automaton.window - 1))
-    yield from _walk(*_quotient(automaton))
+    yield from sizes
+    yield from _walk(*_quotient(out))
 
 
-def _quotient(automaton: TransferAutomaton) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The size and the row of each class of _lumped on the automaton's out-lists."""
-    classes, rows = _lumped(automaton.out_lists())
+def _out_lists(num_states: int, edges: Iterable[tuple[int, int, int]]) -> list[list[int]]:
+    """Target state indices per source state, in edge order."""
+    out: list[list[int]] = [[] for _ in range(num_states)]
+    for source, target, _symbol in edges:
+        out[source].append(target)
+    return out
+
+
+def _quotient(out: list[list[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The size and the row of each class of _lumped on the out-lists."""
+    classes, rows = _lumped(out)
     sizes = [0] * len(rows)
     for c in classes:
         sizes[c] += 1
@@ -446,7 +444,7 @@ def entropy_numeric(
     """Entropy of any finite-type spec from its trimmed automaton."""
     _require_tol(tol)
     _require_log_base(log_base)
-    _window, codes, edges = _block_graph(spec)
+    _sizes, codes, edges = _block_graph(spec)
     return _graph_entropy(len(codes), edges, tol, log_base)
 
 
@@ -475,8 +473,13 @@ def _graph_entropy(
 
 def edge_list_text(automaton: TransferAutomaton) -> str:
     """One 'source target symbol' line per edge, sorted, trailing newline."""
+    return _edge_text(automaton.edges)
+
+
+def _edge_text(edges: Iterable[tuple[int, int, int]]) -> str:
+    """edge_list_text on the edges of a block graph."""
     lines = [
         f"{source} {target} {symbol}"
-        for source, target, symbol in sorted(automaton.edges, key=lambda e: (e[0], e[2], e[1]))
+        for source, target, symbol in sorted(edges, key=lambda e: (e[0], e[2], e[1]))
     ]
     return "\n".join(lines) + "\n" if lines else ""

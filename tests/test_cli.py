@@ -29,6 +29,7 @@ from shiftspace import (
     ValidationError,
     cli,
     enumeration,
+    load_spec_file,
     recurrence,
     tmk_spec,
     transfer,
@@ -278,13 +279,13 @@ def test_entropy_export_automaton(capsys, tmp_path):
 def test_entropy_export_builds_the_automaton_once(capsys, tmp_path, monkeypatch, method):
     _, plain, _ = run_cli(capsys, "entropy", "--tmk", "2,3", "--method", method)
     builds = []
-    build = transfer.build_automaton
+    build = transfer._block_graph
 
     def counting(*args, **kwargs):
         builds.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(transfer, "build_automaton", counting)
+    monkeypatch.setattr(transfer, "_block_graph", counting)
     target = tmp_path / "edges.txt"
     code, out, _ = run_cli(
         capsys, "entropy", "--tmk", "2,3", "--method", method, "--export-automaton", str(target)
@@ -292,14 +293,15 @@ def test_entropy_export_builds_the_automaton_once(capsys, tmp_path, monkeypatch,
     assert code == 0
     assert out == plain
     assert len(builds) == 1
-    assert target.read_text() == transfer.edge_list_text(build(tmk_spec(TmkParams(2, 3))))
+    expected = transfer.edge_list_text(transfer.build_automaton(tmk_spec(TmkParams(2, 3))))
+    assert target.read_text() == expected
 
 
 def test_entropy_checks_tol_before_building(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the automaton was built")
+        raise AssertionError("the block graph was built")
 
-    monkeypatch.setattr(transfer, "build_automaton", refuse)
+    monkeypatch.setattr(transfer, "_block_graph", refuse)
     target = tmp_path / "edges.txt"
     code, out, err = run_cli(
         capsys, "entropy", "--tmk", "1,2", "--tol", "-1", "--method", "matrix",
@@ -308,6 +310,41 @@ def test_entropy_checks_tol_before_building(capsys, tmp_path, monkeypatch):
     assert (code, out) == (1, "")
     assert err == "shiftspace: error: tol must be a positive number, got -1.0\n"
     assert not target.exists()
+
+
+def test_entropy_and_verify_build_no_block(capsys, tmp_path, monkeypatch):
+    # the CLI reads the block graph: no state is spelled out as a Block
+    spec_path = tmp_path / "ones.txt"
+    spec_path.write_text("k=2\n11111\n")
+    target = tmp_path / "edges.txt"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was spelled out as a block")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(transfer, "_digits", refuse)
+        code, out, _ = run_cli(capsys, "verify", "--spec", str(spec_path), "--n-max", "20")
+        assert (code, out.splitlines()[-1]) == (0, "counts agree for n = 1..20")
+        code, _, _ = run_cli(
+            capsys, "entropy", "--spec", str(spec_path), "--export-automaton", str(target)
+        )
+        assert code == 0
+    spec = load_spec_file(spec_path)
+    assert target.read_text() == transfer.edge_list_text(transfer.build_automaton(spec))
+
+
+def test_entropy_exports_before_the_power_iteration(capsys, tmp_path):
+    # 010 and 101 are the states; 1010 is the one edge, and 010 is a dead
+    # end, so the shift has no bi-infinite sequence and entropy fails
+    spec_path = tmp_path / "dead.txt"
+    spec_path.write_text("k=2\n00\n11\n0101\n")
+    target = tmp_path / "edges.txt"
+    code, out, err = run_cli(
+        capsys, "entropy", "--spec", str(spec_path), "--export-automaton", str(target)
+    )
+    assert (code, out) == (1, "")
+    assert "shift space is empty" in err
+    assert target.read_text() == "1 0 0\n"
 
 
 def test_entropy_convergence_failure_exit_code(capsys, monkeypatch):
@@ -643,7 +680,7 @@ def test_verify_csv(capsys):
 
 
 def test_verify_disagreement_exit_code(capsys, monkeypatch):
-    def wrong(automaton):
+    def wrong(sizes, out):
         return itertools.repeat(999)
 
     # the matrix column is one walk of the path counts
@@ -668,6 +705,7 @@ def test_verify_builds_and_walks_once(capsys, monkeypatch, tmp_path):
 
     counted(enumeration, "count_sequence")
     counted(transfer, "build_automaton")
+    counted(transfer, "_block_graph")
     counted(transfer, "_path_counts")
     counted(transfer, "count_via_matrix")
     counted(transfer, "_banned_codes")
@@ -679,26 +717,27 @@ def test_verify_builds_and_walks_once(capsys, monkeypatch, tmp_path):
     )
     assert code == 0
     assert "counts agree for n = 1..40" in out
-    # the count stream serves every n, n = 1 below the automaton's window of 2 too
+    # the count stream serves every n, n = 1 below the automaton's window of 2 too,
+    # from the one block graph; no automaton record is built
     assert calls == {
         "count_sequence": 1,
-        "build_automaton": 1,
-        "_banned_codes": 2,
+        "_block_graph": 1,
+        "_banned_codes": 1,
         "_path_counts": 1,
         "_term_iter": 1,
     }
     assert target.read_text() == transfer.edge_list_text(
         transfer.build_automaton(tmk_spec(TmkParams(2, 3)))
     )
-    # the window of 1^5 is 4: the forbidden codes are read once for the
-    # build and once for the stream's layers, not again for each n below it
+    # the window of 1^5 is 4: the forbidden codes are read once, for the
+    # build whose layer sizes the stream yields, not again for each n below it
     calls.clear()
     path = tmp_path / "ones.txt"
     path.write_text("k=2\n11111\n")
     code, out, _ = run_cli(capsys, "verify", "--spec", str(path), "--n-max", "40")
     assert code == 0
     assert "counts agree for n = 1..40" in out
-    assert calls["_banned_codes"] == 2
+    assert calls["_banned_codes"] == 1
     assert "count_via_matrix" not in calls
 
 

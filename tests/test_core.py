@@ -443,6 +443,23 @@ def test_load_spec_file_refuses_bytes_that_are_not_utf8(tmp_path):
         load_spec_file(path)
 
 
+def test_load_spec_file_drops_one_byte_order_mark(tmp_path):
+    # editors that save "UTF-8 with BOM" put EF BB BF before the k= line
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfk=2\n11\n")
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(b"k=2\n11\n")
+    assert load_spec_file(path) == load_spec_file(plain)
+    # a bad byte's offset still counts the mark's three bytes
+    path.write_bytes(b"\xef\xbb\xbfk=2\n1\xff1\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: byte 8 is not valid UTF-8"):
+        load_spec_file(path)
+    # only one mark is dropped: a second stands before the header
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfk=2\n11\n")
+    with pytest.raises(ParseError, match=r":1: expected a k=<int> line before any block"):
+        load_spec_file(path)
+
+
 def test_load_spec_file_decodes_utf8_in_the_posix_locale(tmp_path):
     # without UTF-8 mode or locale coercion, the POSIX locale's codec is ASCII
     path = tmp_path / "arabic-indic.txt"

@@ -331,15 +331,18 @@ def test_count_via_matrix_below_the_window_needs_no_counter(spec):
     with patch.object(enumeration, "_count_iter", side_effect=refuse):
         automaton = build_automaton(spec)
         assert [count_via_matrix(automaton, n) for n in range(automaton.window)] == expected
-        assert list(islice(_path_counts(automaton), automaton.window)) == expected
+        sizes, codes, edges = transfer._block_graph(spec)
+        stream = _path_counts(sizes, transfer._out_lists(len(codes), edges))
+        assert list(islice(stream, len(sizes))) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(random_specs())
 def test_path_counts_equal_dense_walk_on_spec_automata(spec):
-    automaton = build_automaton(spec)
-    stream = islice(_path_counts(automaton), automaton.window, None)
-    assert first_counts(stream) == first_counts(reference_path_counts(automaton))
+    # the stream reads the block graph; the dense walk reads the automaton built from it
+    sizes, codes, edges = transfer._block_graph(spec)
+    stream = islice(_path_counts(sizes, transfer._out_lists(len(codes), edges)), len(sizes), None)
+    assert first_counts(stream) == first_counts(reference_path_counts(build_automaton(spec)))
 
 
 @settings(max_examples=500, deadline=None)
@@ -351,7 +354,7 @@ def test_path_counts_equal_dense_walk_on_spec_automata(spec):
 @example(synthetic_automaton(3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (2, 2, 0)]))  # parallel loops
 def test_path_counts_equal_dense_walk_on_synthetic_automata(automaton):
     # dead ends, self-loops, parallel edges, isolated states and no states at all
-    stream = islice(_path_counts(automaton), automaton.window, None)
+    stream = _path_counts([], automaton.out_lists())
     assert first_counts(stream) == first_counts(reference_path_counts(automaton))
 
 

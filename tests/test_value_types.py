@@ -377,18 +377,18 @@ def test_block_ordering():
             lambda: k_for_target_ratio(10**400, 1),
             ParameterError,
             "lambda_target lies beyond float range (lambda_target >= 2^1328), "
-            "so its growth rate cannot be computed in floats",
+            "so k cannot be computed in floats",
         ),
         (
             lambda: design_for_entropy(10**400),
             ParameterError,
             "target_entropy lies beyond float range (target_entropy >= 2^1328), "
-            "so its growth rate cannot be computed in floats",
+            "so the design cannot be computed in floats",
         ),
         (
             lambda: design_for_entropy(0.5, tol=10**400),
             ParameterError,
-            "tol lies beyond float range (tol >= 2^1328), so its growth rate cannot be computed in floats",
+            "tol lies beyond float range (tol >= 2^1328), so the design cannot be computed in floats",
         ),
     ],
 )
