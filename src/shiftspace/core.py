@@ -29,6 +29,7 @@ window states, ``tmk_spec`` and ``parse_block`` after its digit check,
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import deque
 from collections.abc import Iterable, Iterator
@@ -373,22 +374,6 @@ def validate_spec(spec: ShiftSpaceSpec) -> ShiftSpaceSpec:
     )
 
 
-def _spec_header(line: str) -> int | None:
-    r"""k of a ``k = <digits>`` header line, or None for any other line.
-
-    Accepts what re.fullmatch(r"k\s*=\s*(\d+)", line) accepts, with the
-    same k: \s and \d are str.isspace and str.isdecimal, so Unicode spaces
-    and digits count.  A block line has no "=" and is turned away by the
-    partition alone, as cheaply as a compiled pattern's match.
-    """
-    key, equals, value = line.partition("=")
-    if equals and key.rstrip() == "k":
-        value = value.lstrip()
-        if value.isdecimal():
-            return int(value)
-    return None
-
-
 def load_spec_file(path: str | Path) -> ShiftSpaceSpec:
     """Load, validate, and normalize a spec from a text file.
 
@@ -403,17 +388,19 @@ def load_spec_file(path: str | Path) -> ShiftSpaceSpec:
         text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})") from None
+    # compiled here so a run that reads no spec file compiles nothing; later calls hit re's cache
+    header_line = re.compile(r"k\s*=\s*(\d+)").fullmatch
     alphabet_size: int | None = None
     raw: list[Block] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         content = line.split("#", 1)[0].strip()
         if not content:
             continue
-        header = _spec_header(content)
+        header = header_line(content)
         if alphabet_size is None:
             if header is None:
                 raise ParseError(f"{path}:{lineno}: expected a k=<int> line before any block")
-            alphabet_size = header
+            alphabet_size = int(header[1])
             if alphabet_size < 1:
                 raise ValidationError([f"{path}:{lineno}: alphabet size must be at least 1"])
             continue

@@ -393,8 +393,10 @@ def _power_iteration(out: list[list[int]], tol: float) -> tuple[float, float, in
     enclosures, ratios and underflows exactly, on every Python version.
     Returns (eigenvalue of A, half-width of the final enclosure,
     iterations).  The shift by I keeps the iteration positive and removes
-    periodicity, and the enclosure brackets the dominant eigenvalue of a
-    nonnegative matrix at every step.  A state that grows slower than the
+    periodicity.  In exact arithmetic the enclosure brackets the dominant
+    eigenvalue of a nonnegative matrix at every step; here each row sum and
+    ratio is rounded to nearest and the final bounds are not widened, so
+    the enclosure returned is not a proof.  A state that grows slower than the
     top can see its entry underflow to 0.0; the iteration then ends in
     ConvergenceError with the last enclosure, as it does after
     MAX_ITERATIONS steps.

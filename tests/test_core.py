@@ -9,12 +9,12 @@ import time
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftspace
 from conftest import brute_force_blocks, spec_from_tuples
-from shiftspace import core, transfer
+from shiftspace import transfer
 from shiftspace import (
     Block,
     ForbiddenSet,
@@ -404,38 +404,6 @@ def test_load_spec_file_comma_alphabet(tmp_path):
     assert set(spec.forbidden) == {Block((10, 11))}
 
 
-# k, =, ASCII and other decimal digits, a digit that is not decimal (²),
-# ASCII and Unicode spaces, and letters
-_HEADER_CHARS = "k=07\u0663\u0967\u00b2 \t\u00a0\u2003\u3000Kx\u00e9"
-_SPACES = st.text(st.sampled_from([" ", "\t", "\u00a0", "\u2003"]), max_size=3)
-
-
-@settings(max_examples=500, deadline=None)
-@given(
-    st.one_of(
-        st.text(st.sampled_from(_HEADER_CHARS), max_size=8),
-        # near-headers: k, spaces, =, spaces, digits, each part maybe bent
-        st.tuples(
-            st.sampled_from(["k", "K", "", "kk", " k"]),
-            _SPACES,
-            st.sampled_from(["=", "", "=="]),
-            _SPACES,
-            st.text(st.sampled_from(["0", "3", "9", "\u0663", "\u0967", "\u00b2", "x"]), max_size=4),
-            st.sampled_from(["", " ", "=", "\u00a0"]),
-        ).map("".join),
-    )
-)
-@example("k\u00a0=\u2003\u0663")
-@example(" k=3")
-@example("k=3 ")
-@example("k=\u00b2")
-@example("k==3")
-@example("k=")
-def test_spec_header_accepts_what_the_header_pattern_accepts(line):
-    match = re.fullmatch(r"k\s*=\s*(\d+)", line)
-    assert core._spec_header(line) == (None if match is None else int(match.group(1)))
-
-
 def test_load_spec_file_refuses_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "latin.txt"
     path.write_bytes(b"k=2\n1\xff1\n")
@@ -507,6 +475,11 @@ def test_load_spec_file_reports_line_numbers(tmp_path):
     with pytest.raises(OutOfAlphabetError) as info:
         load_spec_file(out_of_alphabet)
     assert ":2:" in str(info.value)
+    no_symbols = tmp_path / "k0.txt"
+    no_symbols.write_text("k=0\n")
+    with pytest.raises(ValidationError) as info:
+        load_spec_file(no_symbols)
+    assert str(info.value) == f"{no_symbols}:1: alphabet size must be at least 1"
 
 
 def test_loaded_spec_counts_match_oracle(tmp_path):

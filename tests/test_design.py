@@ -33,6 +33,8 @@ def test_k_for_target_ratio_frozen():
 def test_k_for_target_ratio_no_integer_hit():
     assert k_for_target_ratio(1.5, 1) is None
     assert k_for_target_ratio(2.5, 2) is None
+    # q(1 + 1e-12) rounds to the integer 1, which is no alphabet size
+    assert k_for_target_ratio(1 + 1e-12, 1) is None
 
 
 def test_k_for_target_ratio_golden():
@@ -85,6 +87,8 @@ def test_design_for_entropy_ln5_single():
 
 def test_design_for_entropy_unreachable():
     assert design_for_entropy(10.0, m_range=(1, 3), k_range=(2, 30)) == []
+    # e^1000 overflows a float, so the first window's lower bound is inf
+    assert design_for_entropy(1000.0) == []
 
 
 def test_design_for_entropy_loose_tolerance_sorting():

@@ -28,6 +28,7 @@ from shiftspace import (
     TransferAutomaton,
     ValidationError,
     design_for_entropy,
+    entropy_table,
     k_for_target_ratio,
 )
 
@@ -384,6 +385,12 @@ def test_block_ordering():
             ParameterError,
             "target_entropy lies beyond float range (target_entropy >= 2^1328), "
             "so the design cannot be computed in floats",
+        ),
+        (lambda: design_for_entropy("x"), ParameterError, "target_entropy must be a number, got 'x'"),
+        (
+            lambda: entropy_table(m_range=(1.0, 2)),
+            ParameterError,
+            "m_range bounds must be integers, got (1.0, 2)",
         ),
         (
             lambda: design_for_entropy(0.5, tol=10**400),
